@@ -10,7 +10,6 @@ aborts the run.
 import argparse
 
 from polystrata.hyperbolic import hyp_homology, resonance_free_prediction
-from polystrata.resonance import is_free_of_resonances
 from polystrata.verify import partitions_of
 
 
@@ -30,10 +29,10 @@ def main():
     for n in range(1, args.max_weight + 1):
         for partition in partitions_of(n):
             homology = hyp_homology(partition, backend)
-            free = is_free_of_resonances(partition)
             prediction = resonance_free_prediction(partition)
+            free = prediction.kind != "none"
             note = ""
-            if prediction.kind != "none":
+            if free:
                 note = "%s (%s)" % (
                     "ok" if prediction.matches(homology) else "MISMATCH",
                     prediction.source,

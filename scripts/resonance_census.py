@@ -21,11 +21,8 @@ def main():
 
     for n in range(1, args.max_weight + 1):
         types = partitions_of(n)
-        resonant = [
-            (p, primitive_identities(p))
-            for p in types
-            if primitive_identities(p)
-        ]
+        identities = [(p, primitive_identities(p)) for p in types]
+        resonant = [(p, ids) for p, ids in identities if ids]
         print(
             "weight %2d: %3d types, %3d free, %3d resonant"
             % (n, len(types), len(types) - len(resonant), len(resonant))

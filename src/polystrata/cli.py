@@ -23,7 +23,7 @@ from .hyperbolic import BackendDisagreement, hyp_homology
 from .iterated import iterated_poset
 from .permutahedron import permutahedron_face_poset
 from .polyspace import PolynomialError
-from .posets import Poset, PosetError, order_complex
+from .posets import PosetError, face_poset, order_complex
 from .strata import StratumError, closure_poset, pol_homology
 from .verify import SUITES
 
@@ -198,9 +198,7 @@ def export(obj, parts, n, d, t, fmt):
                 )
             )
         else:
-            faces = sorted(labeled.complex.faces, key=lambda f: (len(f), f))
-            poset = Poset.from_le(faces, lambda x, y: set(x) <= set(y))
-            click.echo(poset.to_dot("delta"), nl=False)
+            click.echo(face_poset(labeled.complex).to_dot("delta"), nl=False)
         return
     if obj == "clambda":
         if parts is None:

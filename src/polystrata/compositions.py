@@ -6,18 +6,22 @@ of positions i in [n-1] where slots i and i+1 of [n] fall in the same part
 adjacent parts corresponds exactly to enlarging the merged set, which turns
 the refinement order into plain set inclusion.
 
-The poset of common coarsenings of all compositions of a fixed type, with the
-one-part composition excluded, and the simplicial complex generated by their
-partial-sum faces both live here.
+Merged and partial-sum sets are ints over n - 1 bits, bit p - 1 standing for
+position p: inclusion is ``not a & ~b`` and coarsening is a submask walk.
+
+Here live the two posets of a type, without the one-part composition: the
+unions of the merged sets of its compositions (C_lambda), and all coarsenings
+of its compositions; and the complex generated by their partial-sum faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from operator import and_
 
 from .homology import HomologyResult, SimplicialComplex, simplicial_homology
-from .posets import Poset, are_isomorphic, closure_image, order_complex
+from .posets import Poset, are_isomorphic, closure_image, face_poset, order_complex
 
 
 def as_composition(parts):
@@ -56,58 +60,63 @@ def multiplicities(partition):
 # Merged-set encoding
 
 
+def positions(mask):
+    """The positions in a mask, ascending (bit p - 1 is position p)."""
+    return tuple(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+def submasks(mask):
+    """Every submask of ``mask``, from ``mask`` itself down to 0."""
+    s = mask
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & mask
+
+
+def _by_size(mask):
+    """Sort key: fewer positions first, then the positions lexicographically."""
+    return mask.bit_count(), positions(mask)
+
+
 def partial_sums(parts):
-    """The proper partial sums P_1, ..., P_{t-1} as a frozenset."""
-    acc, out = 0, []
+    """The proper partial sums P_1, ..., P_{t-1} as a mask."""
+    acc, out = 0, 0
     for a in parts[:-1]:
         acc += a
-        out.append(acc)
-    return frozenset(out)
+        out |= 1 << (acc - 1)
+    return out
 
 
 def merged_set(parts):
-    """Positions i of [n-1] merged by the composition (complement of partial sums)."""
-    n = weight(parts)
-    return frozenset(range(1, n)) - partial_sums(parts)
-
-
-def composition_from_merged_set(n, positions):
-    positions = frozenset(int(p) for p in positions)
-    if any(p < 1 or p >= n for p in positions):
-        raise ValueError("merged positions must lie in 1..%d" % (n - 1))
-    cuts = sorted(set(range(1, n)) - positions)
-    bounds = [0] + cuts + [n]
-    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    """Positions of [n-1] merged by the composition (complement of partial sums)."""
+    return ((1 << (weight(parts) - 1)) - 1) & ~partial_sums(parts)
 
 
 def composition_from_partial_sums(n, sums):
-    cuts = sorted(set(int(s) for s in sums))
-    if cuts and (cuts[0] < 1 or cuts[-1] > n - 1):
-        raise ValueError("partial sums out of range")
-    bounds = [0] + cuts + [n]
+    if sums < 0 or sums >> (n - 1):
+        raise ValueError("positions must lie in 1..%d" % (n - 1))
+    bounds = (0,) + positions(sums) + (n,)
     return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def composition_from_merged_set(n, mask):
+    return composition_from_partial_sums(n, ((1 << (n - 1)) - 1) ^ mask)
 
 
 def coarsenings(parts):
     """All compositions obtainable by merging adjacent parts (including parts)."""
-    n = weight(parts)
-    base = merged_set(parts)
-    free = sorted(set(range(1, n)) - base)
-    out = []
-    for k in range(len(free) + 1):
-        for extra in combinations(free, k):
-            out.append(composition_from_merged_set(n, base | set(extra)))
-    return out
+    n, base = weight(parts), merged_set(parts)
+    return [
+        composition_from_merged_set(n, base | s)
+        for s in sorted(submasks(partial_sums(parts)), key=_by_size)
+    ]
 
 
 def compositions_of(n):
-    """All 2^(n-1) compositions of n."""
-    out = []
-    positions = list(range(1, n))
-    for k in range(n):
-        for merged in combinations(positions, k):
-            out.append(composition_from_merged_set(n, merged))
-    return out
+    """All 2^(n-1) compositions of n: the coarsenings of (1, ..., 1)."""
+    return coarsenings((1,) * n)
 
 
 def compositions_of_type(partition):
@@ -177,12 +186,6 @@ def partition_join(pi, rho):
     return as_set_partition(out.values())
 
 
-def is_interval_partition(blocks):
-    """True iff blocks can be ordered so each is an interval below the next."""
-    blocks = as_set_partition(blocks)
-    return all(max(b) - min(b) + 1 == len(b) for b in blocks)
-
-
 def set_partition_of_composition(parts):
     """The interval set-partition |1..a1|a1+1..a1+a2|... of [n]."""
     blocks, start = [], 1
@@ -190,13 +193,6 @@ def set_partition_of_composition(parts):
         blocks.append(frozenset(range(start, start + a)))
         start += a
     return as_set_partition(blocks)
-
-
-def composition_of_interval_partition(blocks):
-    blocks = sorted(as_set_partition(blocks), key=min)
-    if not is_interval_partition(blocks):
-        raise ValueError("not an interval partition")
-    return tuple(len(b) for b in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -208,26 +204,20 @@ def type_merged_sets(partition):
     return {merged_set(c) for c in compositions_of_type(partition)}
 
 
-def _union_closure(generators):
-    closure = set(generators)
-    frontier = set(generators)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in closure:
-                u = a | b
-                if u not in closure and u not in new:
-                    new.add(u)
-        closure |= new
-        frontier = new
+def union_closure(masks):
+    """The unions of all nonempty subfamilies of ``masks``."""
+    closure = set()
+    for g in masks:
+        closure |= {g | u for u in closure}
+        closure.add(g)
     return closure
 
 
-def _poset_of_merged_sets(n, sets):
-    sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
-    elements = [composition_from_merged_set(n, s) for s in sets]
-    by_key = dict(zip(elements, sets))
-    return Poset.from_le(elements, lambda x, y: by_key[x] <= by_key[y])
+def _poset_of_merged_sets(n, masks):
+    masks = sorted(masks, key=_by_size)
+    elements = [composition_from_merged_set(n, m) for m in masks]
+    by_key = dict(zip(elements, masks))
+    return Poset.from_le(elements, lambda x, y: not by_key[x] & ~by_key[y])
 
 
 def c_lambda_poset(partition):
@@ -238,10 +228,9 @@ def c_lambda_poset(partition):
     """
     partition = as_partition(partition)
     n = weight(partition)
-    full = frozenset(range(1, n))
-    return _poset_of_merged_sets(
-        n, _union_closure(type_merged_sets(partition)) - {full}
-    )
+    closure = union_closure(type_merged_sets(partition))
+    closure.discard((1 << (n - 1)) - 1)
+    return _poset_of_merged_sets(n, closure)
 
 
 def coarsening_poset(partition):
@@ -256,13 +245,12 @@ def coarsening_poset(partition):
     """
     partition = as_partition(partition)
     n = weight(partition)
-    full = frozenset(range(1, n))
-    sets = set()
+    full = (1 << (n - 1)) - 1
+    masks = set()
     for c in compositions_of_type(partition):
-        for b in coarsenings(c):
-            sets.add(merged_set(b))
-    sets.discard(full)
-    return _poset_of_merged_sets(n, sets)
+        masks.update(merged_set(c) | s for s in submasks(partial_sums(c)))
+    masks.discard(full)
+    return _poset_of_merged_sets(n, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +268,11 @@ class LabeledComplex:
         return self.labels[tuple(sorted(face))]
 
 
+def _face_mask(face):
+    """Vertex i of a partial-sum face is position i + 1, that is bit i."""
+    return sum(1 << i for i in face)
+
+
 def delta_lambda_complex(partition):
     """Downward closure of the partial-sum faces of all type compositions.
 
@@ -294,27 +287,16 @@ def delta_lambda_complex(partition):
         raise ValueError("need weight >= 2")
     vertices = tuple(range(1, n))
     tops = [
-        tuple(sorted(p - 1 for p in partial_sums(c)))
+        tuple(p - 1 for p in positions(partial_sums(c)))
         for c in compositions_of_type(partition)
         if len(c) >= 2
     ]
     complex_ = SimplicialComplex.generated(vertices, tops)
     labels = {
-        face: composition_from_partial_sums(n, {i + 1 for i in face})
+        face: composition_from_partial_sums(n, _face_mask(face))
         for face in complex_.faces
     }
     return LabeledComplex(complex_, labels)
-
-
-def facet_labels_join(delta, face):
-    """Join of the interval partitions labelling the facets containing a face."""
-    face = tuple(sorted(face))
-    facets = [f for f in delta.complex.facets() if set(face) <= set(f)]
-    join = None
-    for f in facets:
-        blocks = set_partition_of_composition(delta.labels[f])
-        join = blocks if join is None else partition_join(join, blocks)
-    return join
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +329,20 @@ def closure_collapse_report(partition):
     """
     partition = as_partition(partition)
     delta = delta_lambda_complex(partition)
-    faces = sorted(delta.complex.faces, key=lambda f: (len(f), f))
-    if faces:
-        face_poset = Poset.from_le(faces, lambda x, y: set(x) <= set(y))
-    else:
-        face_poset = Poset((), set())
-    facets = delta.complex.facets()
-    facet_sets = [set(f) for f in facets]
+    faces = face_poset(delta.complex)
+    facets = [_face_mask(f) for f in delta.complex.facets()]
 
     def closure(face):
-        fs = set(face)
-        acc = None
-        for g in facet_sets:
-            if fs <= g:
-                acc = set(g) if acc is None else acc & g
-        return tuple(sorted(acc))
+        m = _face_mask(face)
+        meet = reduce(and_, [g for g in facets if not m & ~g])
+        return tuple(p - 1 for p in positions(meet))
 
-    image = closure_image(face_poset, closure) if faces else face_poset
+    image = closure_image(faces, closure)
     c_poset = c_lambda_poset(partition)
     iso = are_isomorphic(image, c_poset.dual())
     return CollapseReport(
         partition,
         iso,
-        simplicial_homology(order_complex(face_poset)),
+        simplicial_homology(order_complex(faces)),
         simplicial_homology(order_complex(c_poset)),
     )

@@ -161,18 +161,6 @@ def _dense_snf(m):
     return factors
 
 
-def matrix_to_triplets(matrix):
-    """Coordinate-triplet encoding [(row, col, value), ...] of a dense matrix."""
-    return [(i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row) if v]
-
-
-def matrix_from_triplets(triplets, nrows, ncols):
-    m = [[0] * ncols for _ in range(nrows)]
-    for i, j, v in triplets:
-        m[i][j] = v
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Homology results
 

@@ -23,8 +23,9 @@ from itertools import product
 from .compositions import (
     as_partition,
     composition_from_merged_set,
-    compositions_of_type,
-    merged_set,
+    positions,
+    type_merged_sets,
+    union_closure,
 )
 from .posets import Poset, check_isomorphism, product_of_chains
 
@@ -54,7 +55,8 @@ class IteratedComposition:
     @property
     def compositions(self):
         return tuple(
-            composition_from_merged_set(self.ambient, a) for a in self.levels
+            composition_from_merged_set(self.ambient, sum(1 << (p - 1) for p in a))
+            for a in self.levels
         )
 
     @property
@@ -110,13 +112,8 @@ def iterated_poset(n, d):
     return poset
 
 
-def cell_dimension(pi):
-    return pi.dimension
-
-
-def _blocks(n, positions):
-    """Interval blocks of [n] cut by the unmerged positions."""
-    comp = composition_from_merged_set(n, positions)
+def _blocks(comp):
+    """Interval blocks of [n] cut by a composition of n."""
     out, start = [], 1
     for a in comp:
         out.append(tuple(range(start, start + a)))
@@ -138,9 +135,9 @@ def cell_contains(pi, config):
         raise ValueError("need %d points with %d coordinates each" % (n, d))
     block_of = []  # per level s (0 = the single block), block index per point
     block_of.append([0] * n)
-    for a in pi.levels:
+    for comp in pi.compositions:
         assign = [None] * n
-        for b, block in enumerate(_blocks(n, a)):
+        for b, block in enumerate(_blocks(comp)):
             for i in block:
                 assign[i - 1] = b
         block_of.append(assign)
@@ -159,36 +156,18 @@ def cell_contains(pi, config):
 def c_lambda_d_poset(partition, d, include_top=False):
     """Levelwise-union closure of the constant chains over type compositions.
 
+    Levelwise unions of constant chains are constant, so the closure is the
+    union closure of the type merged sets, placed diagonally at every level.
     With ``include_top`` false the tuple that is fully merged at every level
-    is dropped; for d = 1 this reproduces the coarsening poset of the type.
+    is dropped; for d = 1 this reproduces C_lambda (``c_lambda_poset``).
     """
+    if d < 1:
+        raise ValueError("need d >= 1")
     partition = as_partition(partition)
     n = sum(partition)
-    generators = {
-        tuple(tuple(sorted(merged_set(c))) for _ in range(d))
-        for c in compositions_of_type(partition)
-    }
-    closure = set(generators)
-    frontier = set(generators)
-    while frontier:
-        new = set()
-        for a in closure:
-            for b in frontier:
-                u = tuple(
-                    tuple(sorted(set(x) | set(y))) for x, y in zip(a, b)
-                )
-                if u not in closure and u not in new:
-                    new.add(u)
-        closure |= new
-        frontier = new
+    closure = union_closure(type_merged_sets(partition))
     if not include_top:
-        full = tuple(tuple(range(1, n)) for _ in range(d))
-        closure.discard(full)
-    elements = sorted(
-        (IteratedComposition(n, levels) for levels in closure),
-        key=lambda e: e.levels,
-    )
-    return Poset.from_le(
-        elements,
-        lambda x, y: all(set(a) <= set(b) for a, b in zip(x.levels, y.levels)),
-    )
+        closure.discard((1 << (n - 1)) - 1)
+    masks = {IteratedComposition(n, (positions(u),) * d): u for u in closure}
+    elements = sorted(masks, key=lambda e: e.levels)
+    return Poset.from_le(elements, lambda x, y: not masks[x] & ~masks[y])

@@ -25,7 +25,6 @@ from .posets import (
     Poset,
     check_isomorphism,
     order_complex,
-    orbit_representative,
     quotient_poset,
 )
 from .resonance import primitive_identities
@@ -149,15 +148,14 @@ def quotient_report(partition):
         seen = {}
         collision = None
         for orbit in quotient.elements:
-            comp = block_sums(partition, orbit_representative(orbit))
+            comp = block_sums(partition, orbit[0])
             if comp in seen:
-                collision = (seen[comp], orbit_representative(orbit), comp)
+                collision = (seen[comp], orbit[0], comp)
                 break
-            seen[comp] = orbit_representative(orbit)
+            seen[comp] = orbit[0]
         return QuotientReport(partition, identities, None, homology, None, collision)
     mapping = {
-        orbit: block_sums(partition, orbit_representative(orbit))
-        for orbit in quotient.elements
+        orbit: block_sums(partition, orbit[0]) for orbit in quotient.elements
     }
     iso = mapping if check_isomorphism(quotient, c_poset, mapping) else None
     if len(set(partition)) == t:

@@ -1,4 +1,4 @@
-"""Generic finite posets: order complexes, quotients, products, closures.
+"""Generic finite posets: order complexes, face posets, quotients, products, closures.
 
 A Poset stores an indexed tuple of hashable element keys and an irredundant
 cover relation on indices; the full order is derived on demand and cached.
@@ -59,12 +59,11 @@ class Poset:
         # irredundancy: no cover implied by a 2-step path
         for a, b in covers:
             for mid in self._up[a]:
-                if mid != b and b in self._above[mid] | {mid}:
-                    if mid != b:
-                        raise PosetError(
-                            "redundant cover (%r, %r)"
-                            % (self.elements[a], self.elements[b])
-                        )
+                if b in self._above[mid]:
+                    raise PosetError(
+                        "redundant cover (%r, %r)"
+                        % (self.elements[a], self.elements[b])
+                    )
         self._heights = None
 
     # -- construction helpers ------------------------------------------------
@@ -133,13 +132,6 @@ class Poset:
         """Strictly larger elements of x."""
         return frozenset(self.elements[j] for j in self._above[self._index[x]])
 
-    def upper_covers(self, x):
-        return tuple(self.elements[j] for j in self._up[self._index[x]])
-
-    def lower_covers(self, x):
-        i = self._index[x]
-        return tuple(self.elements[a] for a, b in sorted(self.covers) if b == i)
-
     def heights(self):
         """Length of the longest chain below each element (by index)."""
         if self._heights is None:
@@ -167,7 +159,8 @@ class Poset:
         return Poset(self.elements, {(b, a) for a, b in self.covers})
 
     def subposet(self, keys):
-        keys = [k for k in self.elements if k in set(keys)]
+        keep = set(keys)
+        keys = [k for k in self.elements if k in keep]
         return Poset.from_le(keys, self.leq)
 
     # -- exports -------------------------------------------------------------
@@ -259,6 +252,12 @@ def order_complex(poset):
     return SimplicialComplex(poset.elements, frozenset(faces))
 
 
+def face_poset(complex_):
+    """Faces of a simplicial complex ordered by inclusion, smallest first."""
+    faces = sorted(complex_.faces, key=lambda f: (len(f), f))
+    return Poset.from_le(faces, lambda x, y: set(x) <= set(y))
+
+
 def quotient_poset(poset, action):
     """Poset of orbits; orbit X <= Y iff some member of X is below some of Y.
 
@@ -289,11 +288,6 @@ def quotient_poset(poset, action):
     keys = [tuple(poset.elements[i] for i in o) for o in orbits]
     pos = {key: i for i, key in enumerate(keys)}
     return Poset.from_le(keys, lambda x, y: leq[pos[x]][pos[y]])
-
-
-def orbit_representative(orbit_key):
-    """Canonical representative of a quotient-poset element (least member)."""
-    return orbit_key[0]
 
 
 def product_of_chains(k, m):

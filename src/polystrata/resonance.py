@@ -12,7 +12,6 @@ side, the right side, or neither; t stays tiny in every use case.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 
 from .compositions import as_composition
@@ -66,18 +65,3 @@ def resonance_hyperplanes(parts):
     assert (not pairs) == distinct_and_free
     return pairs
 
-
-def to_json(parts):
-    parts = as_composition(parts)
-    return json.dumps(
-        {
-            "parts": list(parts),
-            "free_of_resonances": is_free_of_resonances(parts),
-            "primitive": [
-                [list(i), list(j)] for i, j in primitive_identities(parts)
-            ],
-            "hyperplanes": [
-                [list(i), list(j)] for i, j in resonance_hyperplanes(parts)
-            ],
-        }
-    )

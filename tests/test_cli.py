@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -147,6 +148,33 @@ class TestExport:
         )
         data = json.loads(result.output)
         assert set(data) == {"elements", "covers"}
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
+                ["clambda", "--lambda", "1,1,2,3", "--format", "json"],
+                "9b8bc394c417110ab284c6739355becd3a1905152a94a00fdfe73fbb09a17c55",
+            ),
+            (
+                ["clambda", "--lambda", "1,1,2,3", "--format", "dot"],
+                "b3f2e8bfc4f9b9fc73788a1b881cfec345fa58aa3115b1d7f645514879cd8c15",
+            ),
+            (
+                ["delta", "--lambda", "1,1,2", "--format", "json"],
+                "616de082cf31e0734ccc84ee98e583ad0b248a176501a4c41aaf18cb4b2ad1a6",
+            ),
+            (
+                ["delta", "--lambda", "1,1,2", "--format", "dot"],
+                "aefc483c1f90443c4b4c6fb13d73c158365bd174cc8a44d8e8f69fabb6533a40",
+            ),
+        ],
+    )
+    def test_golden_digest(self, runner, args, digest):
+        # pinned exports: element order and cover indices must not drift
+        result = runner.invoke(cli.main, ["export"] + args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
     def test_determinism(self, runner):
         first = runner.invoke(cli.main, ["export", "delta", "--lambda", "1,1,2"])

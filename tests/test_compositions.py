@@ -13,18 +13,17 @@ from polystrata.compositions import (
     coarsenings,
     composition_from_merged_set,
     composition_from_partial_sums,
-    composition_of_interval_partition,
     compositions_of,
     compositions_of_type,
     delta_lambda_complex,
-    facet_labels_join,
-    is_interval_partition,
     merged_set,
     multiplicities,
     parse_parts,
     partial_sums,
     partition_join,
+    positions,
     set_partition_of_composition,
+    submasks,
     type_merged_sets,
     weight,
 )
@@ -68,10 +67,15 @@ class TestBasics:
 
 class TestMergedSets:
     def test_partial_sums(self):
-        assert partial_sums((2, 1, 3)) == frozenset({2, 3})
+        assert partial_sums((2, 1, 3)) == 0b00110
 
     def test_merged_set_complements_partial_sums(self):
-        assert merged_set((2, 1, 3)) == frozenset({1, 4, 5})
+        assert merged_set((2, 1, 3)) == 0b11001
+        assert positions(merged_set((2, 1, 3))) == (1, 4, 5)
+
+    def test_submasks(self):
+        assert list(submasks(0b101)) == [0b101, 0b100, 0b001, 0]
+        assert list(submasks(0)) == [0]
 
     @given(compositions)
     @settings(max_examples=100, deadline=None)
@@ -86,7 +90,7 @@ class TestMergedSets:
         if weight(a) != weight(b):
             return
         is_coarsening = b in coarsenings(a)
-        assert is_coarsening == (merged_set(a) <= merged_set(b))
+        assert is_coarsening == (not merged_set(a) & ~merged_set(b))
 
     def test_coarsenings_count(self):
         # one coarsening per subset of the t-1 internal cuts
@@ -95,7 +99,9 @@ class TestMergedSets:
 
     def test_out_of_range_positions(self):
         with pytest.raises(ValueError):
-            composition_from_merged_set(3, {3})
+            composition_from_merged_set(3, 0b100)
+        with pytest.raises(ValueError):
+            composition_from_partial_sums(3, 0b100)
 
 
 class TestSetPartitions:
@@ -109,15 +115,6 @@ class TestSetPartitions:
     def test_join_ground_mismatch(self):
         with pytest.raises(ValueError):
             partition_join([{1}], [{2}])
-
-    def test_interval_partitions(self):
-        assert is_interval_partition([{1, 2}, {3}])
-        assert not is_interval_partition([{1, 3}, {2}])
-
-    def test_composition_round_trip(self):
-        parts = (2, 1, 3)
-        blocks = set_partition_of_composition(parts)
-        assert composition_of_interval_partition(blocks) == parts
 
     @given(compositions, compositions)
     @settings(max_examples=60, deadline=None)
@@ -167,7 +164,7 @@ class TestCoarseningPosets:
         assert small == large
 
     def test_type_merged_sets(self):
-        assert type_merged_sets((1, 2)) == {frozenset({1}), frozenset({2})}
+        assert type_merged_sets((1, 2)) == {0b01, 0b10}
 
 
 class TestDeltaComplex:
@@ -193,13 +190,7 @@ class TestDeltaComplex:
         n = 4
         for face, comp in delta.labels.items():
             assert weight(comp) == n
-            assert partial_sums(comp) == frozenset(i + 1 for i in face)
-
-    def test_facet_labels_join(self):
-        delta = delta_lambda_complex((1, 1, 2))
-        for face in delta.complex.faces:
-            join = facet_labels_join(delta, face)
-            assert join is not None
+            assert positions(partial_sums(comp)) == tuple(i + 1 for i in face)
 
     def test_weight_one_rejected(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,6 @@ from polystrata.homology import (
     SimplicialComplex,
     _collapse,
     chain_homology,
-    matrix_from_triplets,
-    matrix_to_triplets,
     simplicial_homology,
     smith_normal_form,
     sphere_homology,
@@ -108,11 +106,6 @@ class TestSmithNormalForm:
         for f in factors:
             product *= f
         assert product == total
-
-    def test_triplet_round_trip(self):
-        matrix = [[0, 2, 0], [1, 0, -3]]
-        triplets = matrix_to_triplets(matrix)
-        assert matrix_from_triplets(triplets, 2, 3) == matrix
 
 
 class TestChainHomology:

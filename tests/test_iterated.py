@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystrata.compositions import coarsening_poset
+from polystrata.compositions import c_lambda_poset, merged_set, positions
 from polystrata.iterated import (
     IteratedComposition,
     c_lambda_d_poset,
     cell_contains,
-    cell_dimension,
     from_merge_counts,
     iterated_poset,
 )
-from polystrata.posets import are_isomorphic, product_of_chains
+from polystrata.posets import are_isomorphic, check_isomorphism, product_of_chains
+from polystrata.verify import partitions_of
 
 
 def counts_strategy(n, d):
@@ -37,7 +37,6 @@ class TestIteratedComposition:
     def test_dimension(self):
         pi = IteratedComposition(4, ((2,), (1, 2)))
         assert pi.dimension == 4 * 2 - 3
-        assert cell_dimension(pi) == 5
 
     def test_merge_counts_round_trip(self):
         pi = IteratedComposition(4, ((2,), (1, 2), (1, 2, 3)))
@@ -125,15 +124,18 @@ class TestCellMembership:
 
 class TestCLambdaD:
     def test_d_one_matches_union_closure(self):
-        from polystrata.compositions import c_lambda_poset
-
-        for partition in [(1, 2), (1, 1, 2), (1, 2, 3)]:
-            iterated = c_lambda_d_poset(partition, 1)
-            flat = c_lambda_poset(partition)
-            assert are_isomorphic(
-                iterated,
-                flat,
-            ) is not None
+        # constant chains: placing each element of C_lambda diagonally at
+        # every level is an isomorphism onto C_lambda,d, for d = 1, 2, 3
+        for n in range(1, 8):
+            for partition in partitions_of(n):
+                flat = c_lambda_poset(partition)
+                for d in (1, 2, 3):
+                    diagonal = {
+                        c: IteratedComposition(n, (positions(merged_set(c)),) * d)
+                        for c in flat.elements
+                    }
+                    iterated = c_lambda_d_poset(partition, d)
+                    assert check_isomorphism(flat, iterated, diagonal), (partition, d)
 
     def test_top_excluded_by_default(self):
         # for (1, 2) the union of the two merged sets is everything
@@ -143,6 +145,10 @@ class TestCLambdaD:
         assert all(e.levels != full for e in poset.elements)
         with_top = c_lambda_d_poset(partition, 2, include_top=True)
         assert len(with_top) == len(poset) + 1
+
+    def test_degree_must_be_positive(self):
+        with pytest.raises(ValueError):
+            c_lambda_d_poset((1, 2), 0)
 
     def test_elements_are_constant_chains_of_unions(self):
         poset = c_lambda_d_poset((1, 2), 2)

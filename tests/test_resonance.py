@@ -1,10 +1,7 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystrata import resonance
 from polystrata.resonance import (
     is_free_of_resonances,
     primitive_identities,
@@ -82,12 +79,6 @@ class TestHyperplanes:
 
 
 class TestJson:
-    def test_round_trip(self):
-        data = json.loads(resonance.to_json((1, 2, 3)))
-        assert data["parts"] == [1, 2, 3]
-        assert data["free_of_resonances"] is False
-        assert data["primitive"] == [[[1, 2], [3]]]
-
     def test_rejects_bad_parts(self):
         with pytest.raises(ValueError):
-            resonance.to_json((0, 1))
+            primitive_identities((0, 1))
