@@ -21,7 +21,13 @@ from functools import reduce
 from operator import and_
 
 from .homology import HomologyResult, SimplicialComplex, simplicial_homology
-from .posets import Poset, are_isomorphic, closure_image, face_poset, order_complex
+from .posets import (
+    are_isomorphic,
+    closure_image,
+    face_poset,
+    inclusion_poset,
+    order_complex,
+)
 
 
 def as_composition(parts):
@@ -215,9 +221,7 @@ def union_closure(masks):
 
 def _poset_of_merged_sets(n, masks):
     masks = sorted(masks, key=_by_size)
-    elements = [composition_from_merged_set(n, m) for m in masks]
-    by_key = dict(zip(elements, masks))
-    return Poset.from_le(elements, lambda x, y: not by_key[x] & ~by_key[y])
+    return inclusion_poset([composition_from_merged_set(n, m) for m in masks], masks)
 
 
 def c_lambda_poset(partition):
@@ -279,12 +283,12 @@ def delta_lambda_complex(partition):
     Vertex i (0-based index) stands for position i+1 of [n-1].  The face of a
     composition with t >= 2 parts is its partial-sum set; the all-ones
     composition contributes the full top face, so the complex is a subcomplex
-    of the full simplex on [n-1].
+    of the full simplex on [n-1].  Weight 1 gives the empty complex.
     """
     partition = as_partition(partition)
     n = weight(partition)
-    if n < 2:
-        raise ValueError("need weight >= 2")
+    if n < 1:
+        raise ValueError("need weight >= 1")
     vertices = tuple(range(1, n))
     tops = [
         tuple(p - 1 for p in positions(partial_sums(c)))

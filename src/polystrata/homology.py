@@ -374,12 +374,6 @@ class SimplicialComplex:
     def dimension(self):
         return max((len(f) for f in self.faces), default=0) - 1
 
-    def faces_by_dim(self):
-        by_dim = {}
-        for face in self.faces:
-            by_dim.setdefault(len(face) - 1, []).append(face)
-        return {d: sorted(fs) for d, fs in by_dim.items()}
-
     def facets(self):
         """Faces maximal under inclusion."""
         face_sets = [set(f) for f in self.faces]

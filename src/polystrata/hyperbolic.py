@@ -53,16 +53,12 @@ def hyp_homology(partition, backend=None):
         if any(h != first for h in tables.values()):
             raise BackendDisagreement(partition, tables)
         return first
-    n = sum(partition)
     if backend == "cells":
-        return pol_homology(partition, n)
+        return pol_homology(partition, sum(partition))
     if backend == "order-complex":
         complex_ = order_complex(c_lambda_poset(partition))
         return suspension_shift(simplicial_homology(complex_), 2)
     if backend == "delta":
-        if n < 2:
-            # weight 1 has the single type (1); its face complex is empty
-            return suspension_shift(HomologyResult.of({-1: (1, ())}), 2)
         complex_ = delta_lambda_complex(partition).complex
         return suspension_shift(simplicial_homology(complex_), 2)
     raise ValueError("unknown backend %r" % backend)

@@ -27,7 +27,7 @@ from .compositions import (
     type_merged_sets,
     union_closure,
 )
-from .posets import Poset, check_isomorphism, product_of_chains
+from .posets import Poset, check_isomorphism, inclusion_poset, product_of_chains
 
 
 @dataclass(frozen=True)
@@ -153,21 +153,20 @@ def cell_contains(pi, config):
     return True
 
 
-def c_lambda_d_poset(partition, d, include_top=False):
+def c_lambda_d_poset(partition, d):
     """Levelwise-union closure of the constant chains over type compositions.
 
     Levelwise unions of constant chains are constant, so the closure is the
     union closure of the type merged sets, placed diagonally at every level.
-    With ``include_top`` false the tuple that is fully merged at every level
-    is dropped; for d = 1 this reproduces C_lambda (``c_lambda_poset``).
+    The tuple that is fully merged at every level is dropped; for d = 1 this
+    reproduces C_lambda (``c_lambda_poset``).
     """
     if d < 1:
         raise ValueError("need d >= 1")
     partition = as_partition(partition)
     n = sum(partition)
     closure = union_closure(type_merged_sets(partition))
-    if not include_top:
-        closure.discard((1 << (n - 1)) - 1)
-    masks = {IteratedComposition(n, (positions(u),) * d): u for u in closure}
-    elements = sorted(masks, key=lambda e: e.levels)
-    return Poset.from_le(elements, lambda x, y: not masks[x] & ~masks[y])
+    closure.discard((1 << (n - 1)) - 1)
+    masks = sorted(closure, key=positions)
+    elements = [IteratedComposition(n, (positions(u),) * d) for u in masks]
+    return inclusion_poset(elements, masks)

@@ -1,8 +1,10 @@
 """Generic finite posets: order complexes, face posets, quotients, products, closures.
 
 A Poset stores an indexed tuple of hashable element keys and an irredundant
-cover relation on indices; the full order is derived on demand and cached.
-All values are immutable after construction.
+cover relation on indices; the strict order is derived on construction as
+int index masks (bit j of ``_above[i]`` is set iff element i < element j).
+Orders given as relations reach their covers through one transitive
+reduction, ``Poset._from_below``.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -30,8 +32,16 @@ class ClosureLawError(PosetError):
         super().__init__("closure law violated (%s): witness %r" % (law, witness))
 
 
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Poset:
-    __slots__ = ("elements", "covers", "_index", "_up", "_above", "_heights")
+    __slots__ = ("elements", "covers", "_index", "_up", "_down", "_above", "_heights")
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
@@ -47,45 +57,61 @@ class Poset:
                 raise PosetError("reflexive cover (%d, %d)" % (a, b))
         self.covers = covers
         self._up = [[] for _ in range(n)]
+        self._down = [[] for _ in range(n)]
         for a, b in sorted(covers):
             self._up[a].append(b)
-        order = self._topological_order()
-        above = [set() for _ in range(n)]
-        for i in reversed(order):
+            self._down[b].append(a)
+        above = [0] * n
+        for i in reversed(self._topological_order()):
             for j in self._up[i]:
-                above[i].add(j)
-                above[i] |= above[j]
-        self._above = [frozenset(s) for s in above]
+                above[i] |= 1 << j | above[j]
+        self._above = above
         # irredundancy: no cover implied by a 2-step path
         for a, b in covers:
-            for mid in self._up[a]:
-                if b in self._above[mid]:
-                    raise PosetError(
-                        "redundant cover (%r, %r)"
-                        % (self.elements[a], self.elements[b])
-                    )
+            if any(above[mid] >> b & 1 for mid in self._up[a]):
+                raise PosetError(
+                    "redundant cover (%r, %r)" % (self.elements[a], self.elements[b])
+                )
         self._heights = None
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_le(elements, le):
-        """Build from a reflexive order test ``le(x, y)`` by transitive reduction."""
-        elements = tuple(elements)
-        n = len(elements)
-        below = [
-            {j for j in range(n) if j != i and le(elements[j], elements[i])}
-            for i in range(n)
-        ]
-        for i in range(n):
-            if any(i in below[j] and j in below[i] for j in below[i]):
-                raise CycleError("relation is not antisymmetric")
-        covers = set()
-        for i in range(n):
-            for j in below[i]:
-                if not any(j in below[k] for k in below[i]):
-                    covers.add((j, i))
+    def _from_below(elements, below):
+        """The one transitive reduction, from strict down-sets as index masks.
+
+        The covers of i are ``below[i]`` minus all that lies below a member of
+        it.  A cycle raises CycleError, a non-transitive relation PosetError.
+        """
+        covers = []
+        for i, down in enumerate(below):
+            implied = 0
+            for j in _bits(down):
+                implied |= below[j]
+            if implied >> i & 1:
+                j = next(j for j in _bits(down) if below[j] >> i & 1)
+                raise CycleError(
+                    "relation is not antisymmetric: %r and %r"
+                    % (elements[i], elements[j])
+                )
+            if implied & ~down:
+                k = next(_bits(implied & ~down))
+                raise PosetError(
+                    "relation is not transitive: %r is below %r only through others"
+                    % (elements[k], elements[i])
+                )
+            covers.extend((j, i) for j in _bits(down & ~implied))
         return Poset(elements, covers)
+
+    @staticmethod
+    def from_le(elements, le):
+        """Build from a reflexive order test ``le(x, y)``, called on every pair."""
+        elements = tuple(elements)
+        below = [
+            sum(1 << j for j, y in enumerate(elements) if j != i and le(y, x))
+            for i, x in enumerate(elements)
+        ]
+        return Poset._from_below(elements, below)
 
     @staticmethod
     def chain(keys):
@@ -123,14 +149,14 @@ class Poset:
         return order
 
     def lt(self, x, y):
-        return self._index[y] in self._above[self._index[x]]
+        return bool(self._above[self._index[x]] >> self._index[y] & 1)
 
     def leq(self, x, y):
         return x == y or self.lt(x, y)
 
     def above(self, x):
         """Strictly larger elements of x."""
-        return frozenset(self.elements[j] for j in self._above[self._index[x]])
+        return frozenset(self.elements[j] for j in _bits(self._above[self._index[x]]))
 
     def heights(self):
         """Length of the longest chain below each element (by index)."""
@@ -148,11 +174,8 @@ class Poset:
         )
 
     def minimal_elements(self):
-        has_lower = {b for _, b in self.covers}
         return tuple(
-            self.elements[i]
-            for i in range(len(self.elements))
-            if i not in has_lower
+            self.elements[i] for i in range(len(self.elements)) if not self._down[i]
         )
 
     def dual(self):
@@ -238,8 +261,7 @@ class GroupAction:
 
 def order_complex(poset):
     """Complex of all nonempty chains; vertex i is element i of the poset."""
-    n = len(poset.elements)
-    up = [sorted(poset._above[i]) for i in range(n)]
+    up = [list(_bits(mask)) for mask in poset._above]
     faces = set()
 
     def extend(chain):
@@ -247,15 +269,35 @@ def order_complex(poset):
         for nxt in up[chain[-1]]:
             extend(chain + (nxt,))
 
-    for i in range(n):
+    for i in range(len(up)):
         extend((i,))
     return SimplicialComplex(poset.elements, frozenset(faces))
+
+
+def inclusion_poset(keys, masks):
+    """Keys ordered by inclusion of their distinct int masks, ``masks[i]`` for key i.
+
+    Below mask m lie the elements with no bit outside m: all elements but the
+    OR, over the bits outside m, of the index masks of those having that bit.
+    """
+    width = max(masks, default=0).bit_length()
+    having = [
+        sum(1 << i for i, m in enumerate(masks) if m >> b & 1) for b in range(width)
+    ]
+    every = (1 << len(masks)) - 1
+    below = []
+    for i, m in enumerate(masks):
+        outside = 1 << i
+        for b in _bits(((1 << width) - 1) & ~m):
+            outside |= having[b]
+        below.append(every & ~outside)
+    return Poset._from_below(keys, below)
 
 
 def face_poset(complex_):
     """Faces of a simplicial complex ordered by inclusion, smallest first."""
     faces = sorted(complex_.faces, key=lambda f: (len(f), f))
-    return Poset.from_le(faces, lambda x, y: set(x) <= set(y))
+    return inclusion_poset(faces, [sum(1 << v for v in f) for f in faces])
 
 
 def quotient_poset(poset, action):
@@ -265,29 +307,14 @@ def quotient_poset(poset, action):
     raises CycleError naming a witness pair of orbits.
     """
     orbits = action.orbits()
-    above = poset._above
-    k = len(orbits)
-    orbit_sets = [set(o) for o in orbits]
-    leq = [[False] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                leq[a][b] = True
-                continue
-            leq[a][b] = any(
-                not orbit_sets[b].isdisjoint(above[x]) or x in orbit_sets[b]
-                for x in orbits[a]
-            )
-    for a in range(k):
-        for b in range(a + 1, k):
-            if leq[a][b] and leq[b][a]:
-                raise CycleError(
-                    "orbit relation is not antisymmetric: orbits of %r and %r"
-                    % (poset.elements[orbits[a][0]], poset.elements[orbits[b][0]])
-                )
+    orbit_of = {x: k for k, orbit in enumerate(orbits) for x in orbit}
+    below = [0] * len(orbits)
+    for k, orbit in enumerate(orbits):
+        for x in orbit:
+            for y in _bits(poset._above[x]):
+                below[orbit_of[y]] |= 1 << k
     keys = [tuple(poset.elements[i] for i in o) for o in orbits]
-    pos = {key: i for i, key in enumerate(keys)}
-    return Poset.from_le(keys, lambda x, y: leq[pos[x]][pos[y]])
+    return Poset._from_below(keys, below)
 
 
 def product_of_chains(k, m):
@@ -337,11 +364,7 @@ def closure_image(poset, f):
 def _refine_colors(poset, colors):
     """Iterated neighborhood refinement of vertex colors on the Hasse diagram."""
     n = len(poset.elements)
-    down = [[] for _ in range(n)]
-    up = [[] for _ in range(n)]
-    for a, b in poset.covers:
-        up[a].append(b)
-        down[b].append(a)
+    up, down = poset._up, poset._down
     while True:
         signatures = [
             (
@@ -384,17 +407,7 @@ def are_isomorphic(p, q):
     qc = _refine_colors(q, [h for h in q.heights()])
     if sorted(pc) != sorted(qc):
         return None
-    up_p = [[] for _ in range(n)]
-    down_p = [[] for _ in range(n)]
-    for a, b in p.covers:
-        up_p[a].append(b)
-        down_p[b].append(a)
-    q_up = {(a, b) for a, b in q.covers}
-    up_q = [[] for _ in range(n)]
-    down_q = [[] for _ in range(n)]
-    for a, b in q.covers:
-        up_q[a].append(b)
-        down_q[b].append(a)
+    up_p, down_p, up_q, down_q = p._up, p._down, q._up, q._down
     q_by_color = {}
     for j, c in enumerate(qc):
         q_by_color.setdefault(c, []).append(j)
@@ -437,20 +450,6 @@ def are_isomorphic(p, q):
             return True
         i = pick_next()
         for j in candidates(i):
-            ok = True
-            for b in up_p[i]:
-                jj = assignment[b]
-                if jj is not None and (j, jj) not in q_up:
-                    ok = False
-                    break
-            if ok:
-                for a in down_p[i]:
-                    jj = assignment[a]
-                    if jj is not None and (jj, j) not in q_up:
-                        ok = False
-                        break
-            if not ok:
-                continue
             assignment[i] = j
             used[j] = True
             if backtrack(depth + 1):
@@ -461,8 +460,6 @@ def are_isomorphic(p, q):
 
     if not backtrack(0):
         return None
-    mapping = {
-        p.elements[i]: q.elements[assignment[i]] for i in range(n)
-    }
+    mapping = {p.elements[i]: q.elements[assignment[i]] for i in range(n)}
     assert check_isomorphism(p, q, mapping)
     return mapping

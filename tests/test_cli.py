@@ -168,6 +168,30 @@ class TestExport:
                 ["delta", "--lambda", "1,1,2", "--format", "dot"],
                 "aefc483c1f90443c4b4c6fb13d73c158365bd174cc8a44d8e8f69fabb6533a40",
             ),
+            (
+                ["closure-poset", "--lambda", "1,2", "--n", "5", "--format", "json"],
+                "91c61ffeb739de6c54aa8517cf8161a0a8f01c769fb02da8ea268e6406611699",
+            ),
+            (
+                ["closure-poset", "--lambda", "1,2", "--n", "5", "--format", "dot"],
+                "cc5ebfb442706782601d5f5ff2a6f6e38f3479af0bdc3a4c4f118d8b8012b764",
+            ),
+            (
+                ["permutahedron", "--t", "3", "--format", "json"],
+                "c595dc16ca39cfd4d699c81a31a1e8baf5274c1db4b9e75a67e5e9ace0afc38a",
+            ),
+            (
+                ["permutahedron", "--t", "3", "--format", "dot"],
+                "e56cbc8676043733204435b125a13902364c79f22f5b2ae9d7728d4896481ed3",
+            ),
+            (
+                ["iterated", "--n", "3", "--d", "2", "--format", "json"],
+                "653b34fc2db69f2f5107b7a52276bcd4602dd6c87c488eef938ad4a73622bff4",
+            ),
+            (
+                ["iterated", "--n", "3", "--d", "2", "--format", "dot"],
+                "ea0e65b5b42f3969174752f60f27a6c4ca4ad6289e0637ae03d16d7e64d05c18",
+            ),
         ],
     )
     def test_golden_digest(self, runner, args, digest):

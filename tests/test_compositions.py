@@ -192,14 +192,16 @@ class TestDeltaComplex:
             assert weight(comp) == n
             assert positions(partial_sums(comp)) == tuple(i + 1 for i in face)
 
-    def test_weight_one_rejected(self):
-        with pytest.raises(ValueError):
-            delta_lambda_complex((1,))
+    def test_weight_one_is_empty(self):
+        delta = delta_lambda_complex((1,))
+        assert delta.complex.vertices == () and not delta.complex.faces
+        assert simplicial_homology(delta.complex) == sphere_homology(-1)
 
 
 class TestClosureCollapse:
     @pytest.mark.parametrize(
-        "partition", [(1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 1, 1, 1), (1, 2, 3)]
+        "partition",
+        [(1,), (1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 1, 1, 1), (1, 2, 3)],
     )
     def test_collapse_report_passes(self, partition):
         report = closure_collapse_report(partition)

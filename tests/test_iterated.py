@@ -143,8 +143,6 @@ class TestCLambdaD:
         poset = c_lambda_d_poset(partition, 2)
         full = tuple((1, 2) for _ in range(2))
         assert all(e.levels != full for e in poset.elements)
-        with_top = c_lambda_d_poset(partition, 2, include_top=True)
-        assert len(with_top) == len(poset) + 1
 
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):

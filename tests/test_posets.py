@@ -1,8 +1,11 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystrata.homology import simplicial_homology, sphere_homology
+from polystrata.permutahedron import permutahedron_face_poset, young_subgroup_action
 from polystrata.posets import (
     ClosureLawError,
     CycleError,
@@ -12,6 +15,7 @@ from polystrata.posets import (
     are_isomorphic,
     check_isomorphism,
     closure_image,
+    inclusion_poset,
     order_complex,
     product_of_chains,
     quotient_poset,
@@ -48,6 +52,24 @@ class TestPosetConstruction:
                 for a, b in [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6), (4, 12), (6, 12)]
             }
         )
+
+    def test_from_le_rejects_non_transitive_relation(self):
+        # a <= b and b <= c, but not a <= c
+        pairs = {("a", "b"), ("b", "c")}
+        with pytest.raises(PosetError, match="not transitive"):
+            Poset.from_le("abc", lambda x, y: x == y or (x, y) in pairs)
+
+    def test_from_le_rejects_non_antisymmetric_relation(self):
+        with pytest.raises(CycleError):
+            Poset.from_le("abc", lambda x, y: x == y or {x, y} == {"a", "b"})
+
+    @given(st.lists(st.integers(0, 255), max_size=40, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_inclusion_poset_matches_from_le(self, masks):
+        keys = ["k%d" % m for m in masks]
+        m = dict(zip(keys, masks))
+        reference = Poset.from_le(keys, lambda x, y: not m[x] & ~m[y])
+        assert inclusion_poset(keys, masks).covers == reference.covers
 
     def test_chain_and_antichain(self):
         chain = Poset.chain("abc")
@@ -155,6 +177,18 @@ class TestQuotient:
         )
         quotient = quotient_poset(poset, GroupAction(poset, [perm]))
         assert are_isomorphic(quotient, Poset.chain("abc")) is not None
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_young_quotient_matches_from_le(self, t):
+        # orbit X <= Y iff some member of X is <= some member of Y, brute force
+        faces = permutahedron_face_poset(t)
+        for partition in combinations_with_replacement(range(1, t + 1), t):
+            quotient = quotient_poset(faces, young_subgroup_action(partition, faces))
+            reference = Poset.from_le(
+                quotient.elements,
+                lambda xs, ys: any(faces.leq(x, y) for x in xs for y in ys),
+            )
+            assert quotient.covers == reference.covers, partition
 
     @given(st.integers(2, 30))
     @settings(max_examples=15, deadline=None)
