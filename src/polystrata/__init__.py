@@ -49,11 +49,7 @@ from .posets import (
     product_of_chains,
     quotient_poset,
 )
-from .resonance import (
-    is_free_of_resonances,
-    primitive_identities,
-    resonance_hyperplanes,
-)
+from .resonance import is_free_of_resonances, primitive_identities
 from .strata import (
     StratumCell,
     boundary,

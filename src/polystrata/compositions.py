@@ -42,6 +42,13 @@ def as_partition(parts):
     return tuple(sorted(as_composition(parts)))
 
 
+def nonempty_partition(parts):
+    """``as_partition``, refusing the empty type (weight 0)."""
+    if partition := as_partition(parts):
+        return partition
+    raise ValueError("need weight >= 1")
+
+
 def parse_parts(text):
     """Comma-separated part syntax, e.g. '1,1,2'."""
     try:
@@ -230,7 +237,7 @@ def c_lambda_poset(partition):
     The fully merged position set (the one-part composition) is excluded;
     element keys are the corresponding compositions.
     """
-    partition = as_partition(partition)
+    partition = nonempty_partition(partition)
     n = weight(partition)
     closure = union_closure(type_merged_sets(partition))
     closure.discard((1 << (n - 1)) - 1)
@@ -247,7 +254,7 @@ def coarsening_poset(partition):
     sets.  The quotient of the permutahedron face poset by the Young subgroup
     matches this poset, not the union-generated one.
     """
-    partition = as_partition(partition)
+    partition = nonempty_partition(partition)
     n = weight(partition)
     full = (1 << (n - 1)) - 1
     masks = set()
@@ -285,10 +292,8 @@ def delta_lambda_complex(partition):
     composition contributes the full top face, so the complex is a subcomplex
     of the full simplex on [n-1].  Weight 1 gives the empty complex.
     """
-    partition = as_partition(partition)
+    partition = nonempty_partition(partition)
     n = weight(partition)
-    if n < 1:
-        raise ValueError("need weight >= 1")
     vertices = tuple(range(1, n))
     tops = [
         tuple(p - 1 for p in positions(partial_sums(c)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compositions import c_lambda_poset, delta_lambda_complex, as_partition
+from .compositions import c_lambda_poset, delta_lambda_complex, nonempty_partition
 from .homology import (
     HomologyResult,
     simplicial_homology,
@@ -46,7 +46,7 @@ def hyp_homology(partition, backend=None):
 
     ``backend`` picks one pipeline; by default all three run and must agree.
     """
-    partition = as_partition(partition)
+    partition = nonempty_partition(partition)
     if backend is None:
         tables = {name: hyp_homology(partition, name) for name in BACKENDS}
         first = next(iter(tables.values()))
@@ -100,7 +100,7 @@ def hook_prediction(n, k):
 
 def resonance_free_prediction(partition):
     """t-sphere for distinct resonance-free parts, point for a repeated part."""
-    partition = as_partition(partition)
+    partition = nonempty_partition(partition)
     if not is_free_of_resonances(partition):
         return Prediction("none", None, "resonances present")
     t = len(partition)

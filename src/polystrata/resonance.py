@@ -2,66 +2,64 @@
 
 A primitive partition identity is an unordered pair of disjoint nonempty index
 subsets with equal part sums whose two sides share no part value.  A
-composition is free of resonances when it admits none; the property depends
-only on the multiset of parts.  Dropping the shared-value filter gives the
-full set of resonance hyperplanes containing the point (a_1, ..., a_t).
+composition is free of resonances when it admits none.
 
-Enumeration is brute force over the 3^t assignments of each index to the left
-side, the right side, or neither; t stays tiny in every use case.
+Since each part value sits on one side or on none, an identity is decided by
+part values alone: a signed count c_v in [-e_v, e_v] for each distinct value v
+of multiplicity e_v, with sum c_v v = 0.  One walk over the values in
+ascending order finds these vectors, pruning once the partial sum exceeds what
+the values not yet visited can offset; at worst it visits prod (2 e_v + 1)
+count vectors.  Index pairs are expanded from the vectors only when asked for.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, combinations, product
 
 from .compositions import as_composition
 
 
-def _disjoint_pairs(parts):
-    """All unordered pairs (I, J) of disjoint nonempty 1-based index subsets
-    with equal part sums, canonically ordered with min(I) < min(J)."""
-    t = len(parts)
-    out = set()
-    for signs in product((0, 1, 2), repeat=t):
-        left = tuple(i + 1 for i, s in enumerate(signs) if s == 1)
-        right = tuple(i + 1 for i, s in enumerate(signs) if s == 2)
-        if not left or not right:
-            continue
-        if sum(parts[i - 1] for i in left) != sum(parts[j - 1] for j in right):
-            continue
-        pair = (left, right) if left[0] < right[0] else (right, left)
-        out.add(pair)
-    return sorted(out)
+def _value_identities(parts):
+    """Yield each vector of (value, count) pairs, nonzero counts only, with
+    sum count * value = 0; the first count is positive, so each sign pair of
+    vectors comes once."""
+    values = sorted(set(parts))
+    mult = [parts.count(v) for v in values]
+    room = [sum(parts)]  # room[k]: the largest |sum| values[k:] can offset
+    for v, e in zip(values, mult):
+        room.append(room[-1] - e * v)
+
+    def walk(k, total, vector):
+        if abs(total) > room[k]:
+            return
+        if k == len(values):
+            if vector:
+                yield vector
+            return
+        for c in range(-mult[k] if vector else 0, mult[k] + 1):
+            step = ((values[k], c),) if c else ()
+            yield from walk(k + 1, total + c * values[k], vector + step)
+
+    return walk(0, 0, ())
 
 
 def primitive_identities(parts):
-    """Primitive partition identities of a composition, as (I, J) index pairs."""
+    """Primitive partition identities of a composition, as sorted (I, J) pairs
+    of 1-based index tuples with min(I) < min(J)."""
     parts = as_composition(parts)
+    indices = {v: [i for i, a in enumerate(parts, 1) if a == v] for v in set(parts)}
     out = []
-    for left, right in _disjoint_pairs(parts):
-        lvals = {parts[i - 1] for i in left}
-        rvals = {parts[j - 1] for j in right}
-        if lvals.isdisjoint(rvals):
-            out.append((left, right))
-    return out
+    for vector in _value_identities(parts):
+        sides = [
+            product(*(combinations(indices[v], abs(c)) for v, c in vector if sign * c > 0))
+            for sign in (1, -1)
+        ]
+        for left, right in product(*sides):
+            left, right = tuple(sorted(chain(*left))), tuple(sorted(chain(*right)))
+            out.append((left, right) if left[0] < right[0] else (right, left))
+    return sorted(out)
 
 
 def is_free_of_resonances(parts):
     """True iff there is no primitive partition identity among the parts."""
-    return not primitive_identities(parts)
-
-
-def resonance_hyperplanes(parts):
-    """All equal-sum disjoint index pairs (no primitivity filter).
-
-    Empty exactly when the parts are pairwise distinct and free of resonances;
-    that equivalence is asserted on every call.
-    """
-    parts = as_composition(parts)
-    pairs = _disjoint_pairs(parts)
-    distinct_and_free = len(set(parts)) == len(parts) and is_free_of_resonances(
-        parts
-    )
-    assert (not pairs) == distinct_and_free
-    return pairs
-
+    return next(_value_identities(as_composition(parts)), None) is None

@@ -128,7 +128,8 @@ def quotient_suite(max_t=5, max_weight=12, exemplars=((1, 2, 4, 8), (1, 2, 4, 8,
             if len(partition) <= max_t and is_free_of_resonances(partition):
                 seen.add(partition)
     for partition in exemplars:
-        assert is_free_of_resonances(partition)
+        if not is_free_of_resonances(partition):
+            raise ValueError("exemplar %r has resonances" % (partition,))
         seen.add(tuple(sorted(partition)))
     cases = []
     for partition in sorted(seen, key=lambda p: (sum(p), p)):

@@ -1,5 +1,6 @@
 import pytest
 
+from polystrata.compositions import c_lambda_poset, coarsening_poset, delta_lambda_complex
 from polystrata.homology import HomologyResult, sphere_homology
 from polystrata.hyperbolic import (
     BACKENDS,
@@ -34,6 +35,17 @@ class TestBackends:
     def test_weight_one_special_case(self):
         # the single root sweeps a line; compactified it is a circle
         assert hyp_homology((1,)) == sphere_homology(1)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [c_lambda_poset, coarsening_poset, delta_lambda_complex, resonance_free_prediction]
+        + [lambda p, b=b: hyp_homology(p, b) for b in (None,) + BACKENDS],
+        ids=["c_lambda", "coarsening", "delta_lambda", "prediction", "hyp"]
+        + ["hyp-" + b for b in BACKENDS],
+    )
+    def test_empty_type_refused(self, entry):
+        with pytest.raises(ValueError, match="need weight >= 1"):
+            entry(())
 
     def test_disagreement_message(self):
         exc = BackendDisagreement(

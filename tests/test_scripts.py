@@ -1,5 +1,6 @@
 """Each script in scripts/ runs to completion and prints a table."""
 
+import hashlib
 import runpy
 import sys
 from pathlib import Path
@@ -34,6 +35,18 @@ def test_resonance_census(monkeypatch, capsys):
     assert len(weights) == 6
     assert "weight  6:  11 types" in weights[-1]
     assert any("1+2 = 3" in line for line in lines)
+
+
+def test_resonance_census_golden(monkeypatch, capsys):
+    # the default --max-weight 12; the digest was taken with the index-level
+    # brute force that primitive_identities replaced
+    lines = run_script(monkeypatch, capsys, "resonance_census.py", "--list-identities")
+    assert "weight 12:  77 types,  25 free,  52 resonant" in lines
+    stdout = "".join(line + "\n" for line in lines)
+    assert (
+        hashlib.sha256(stdout.encode()).hexdigest()
+        == "8152a99337c1754511ffb85ac4a854fdd1f516796efe96ed94f4e76e74407c02"
+    )
 
 
 @pytest.mark.parametrize("csv", [False, True])

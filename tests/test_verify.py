@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polystrata.verify import (
     Case,
     SUITES,
@@ -7,6 +9,7 @@ from polystrata.verify import (
     d_squared_suite,
     hook_suite,
     partitions_of,
+    quotient_suite,
 )
 
 
@@ -64,3 +67,7 @@ class TestReports:
         labels = [c.label for c in report.cases]
         assert "literal-parity regression" in labels
         assert report.passed
+
+    def test_resonant_exemplar_refused(self):
+        with pytest.raises(ValueError, match=r"\(1, 2, 3\)"):
+            quotient_suite(max_weight=3, exemplars=((1, 2, 3),))
