@@ -18,7 +18,7 @@ from .compositions import (
     delta_lambda_complex,
     parse_parts,
 )
-from .homology import BoundarySquareError, simplicial_homology
+from .homology import InvariantError, simplicial_homology
 from .hyperbolic import BackendDisagreement, hyp_homology
 from .iterated import iterated_poset
 from .permutahedron import permutahedron_face_poset
@@ -41,7 +41,7 @@ def _guard(func):
         except (ValueError, PolynomialError, StratumError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(INVALID_INPUT)
-        except (BoundarySquareError, BackendDisagreement, PosetError, AssertionError) as exc:
+        except (InvariantError, BackendDisagreement, PosetError) as exc:
             click.echo("invariant failure: %s" % exc, err=True)
             sys.exit(INVARIANT_FAILURE)
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
-class BoundarySquareError(Exception):
+class InvariantError(Exception):
+    """A check that holds by construction failed; the message names it.
+
+    Raised, not asserted, so that ``python -O`` keeps every check.
+    """
+
+
+class BoundarySquareError(InvariantError):
     """A graded boundary failed d(d(x)) = 0; message names the offender."""
 
 
@@ -93,7 +100,10 @@ def _invariant_factors(rows, cols):
             dense.append(r)
         factors.extend(_dense_snf(dense))
     for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, "invariant factors must form a divisibility chain"
+        if b % a:
+            raise InvariantError(
+                "invariant factors %r are not a divisibility chain" % (factors,)
+            )
     return tuple(factors)
 
 
@@ -247,7 +257,7 @@ class ChainComplex:
     """Graded free Z-complex: per-degree generator labels and boundary columns.
 
     ``boundaries[q]`` maps the index of a degree-q generator to a dict
-    {index in degree q-1: coefficient}.  d(d(x)) = 0 is asserted on
+    {index in degree q-1: coefficient}.  d(d(x)) = 0 is checked on
     construction.
     """
 
@@ -326,7 +336,11 @@ def chain_homology(complex_):
         sign(q) * len(gens) for q, gens in complex_.generators.items()
     )
     euler_betti = sum(sign(q) * b for q, (b, _) in groups.items())
-    assert euler_cells == euler_betti, "Euler characteristic mismatch"
+    if euler_cells != euler_betti:
+        raise InvariantError(
+            "Euler characteristic mismatch: %d from cells, %d from Betti numbers"
+            % (euler_cells, euler_betti)
+        )
     return result
 
 

@@ -27,6 +27,7 @@ from .compositions import (
     type_merged_sets,
     union_closure,
 )
+from .homology import InvariantError
 from .posets import Poset, check_isomorphism, inclusion_poset, product_of_chains
 
 
@@ -108,7 +109,8 @@ def iterated_poset(n, d):
                 covers.add((index[e], index[from_merge_counts(n, d, up)]))
     poset = Poset(elements, covers)
     chains = product_of_chains(n - 1, d + 1)
-    assert check_isomorphism(poset, chains, {e: e.merge_counts() for e in elements})
+    if not check_isomorphism(poset, chains, {e: e.merge_counts() for e in elements}):
+        raise InvariantError("merge counts do not map onto the product of chains")
     return poset
 
 

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .homology import InvariantError
 from .strata import StratumCell
 
 
@@ -108,9 +109,8 @@ def affine_normalize(f, tolerance=1e-12):
         raise PolynomialError("norm function failed to bracket 1")
     while hi - lo > tolerance * hi:
         mid = (lo + hi) / 2.0
-        assert _h(body, n, lo) >= _h(body, n, mid) >= _h(body, n, hi), (
-            "norm function must decrease across the bracket"
-        )
+        if not _h(body, n, lo) >= _h(body, n, mid) >= _h(body, n, hi):
+            raise InvariantError("norm function must decrease across the bracket")
         if _h(body, n, mid) > 1.0:
             lo = mid
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .homology import SimplicialComplex
+from .homology import InvariantError, SimplicialComplex
 
 
 class PosetError(Exception):
@@ -461,5 +461,6 @@ def are_isomorphic(p, q):
     if not backtrack(0):
         return None
     mapping = {p.elements[i]: q.elements[assignment[i]] for i in range(n)}
-    assert check_isomorphism(p, q, mapping)
+    if not check_isomorphism(p, q, mapping):
+        raise InvariantError("found mapping is not an isomorphism")
     return mapping

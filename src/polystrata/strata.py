@@ -7,6 +7,12 @@ fixed type is generated by two moves: merging adjacent parts, and inserting
 a new part equal to 2 while weight + 2 <= n (a conjugate pair colliding on
 the real axis).
 
+Inside a closure a cell is keyed by one int, its boundary set: bit b is set
+iff b is 0, a partial sum or the weight m, so the empty cell is 1, m is the
+highest bit and t is one less than the number of bits.  A merge clears an
+inner bit; inserting a 2 at boundary b keeps the bits up to b and shifts the
+rest up by 2.  ``StratumCell`` labels the cells for export.
+
 The boundary operator combines the alternating merge signs with a sign for
 each insertion that depends on the run of 2's the new part lands in: the
 coefficient vanishes when the run has even length and equals (-1)^(j1-1)
@@ -22,7 +28,7 @@ import io
 from dataclasses import dataclass
 
 from . import compositions as comps
-from .homology import ChainComplex, HomologyResult, chain_homology
+from .homology import ChainComplex, HomologyResult, InvariantError, chain_homology
 from .posets import Poset
 
 
@@ -57,58 +63,66 @@ class StratumCell:
         return "(%s)@%d" % (",".join(map(str, self.parts)), self.ambient)
 
 
-def closure_cells(partition, n):
-    """All cells in the closure of the type's cells in ambient degree n.
+def _key(parts):
+    """The boundary set of a composition."""
+    return 1 | comps.partial_sums(parts) << 1 | 1 << sum(parts)
 
-    Breadth-first closure under merging adjacent parts and inserting a part 2;
-    each move drops the dimension by exactly one.
+
+def _parts(key):
+    """The composition whose boundary set is ``key``."""
+    bounds = comps.positions(key)
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def _dimension(key, n):
+    return key.bit_count() + n - key.bit_length()
+
+
+def _faces(key, n, literal_parity=False):
+    """(target key, coefficient) for every move out of a cell, once each.
+
+    Inserting a 2 just before a part 2 gives the same target as inserting it
+    after that part, so only the last slot of each run is used; the new 2
+    then ends a run of L + 1 twos, L being the 2-parts that end at b.
     """
+    m = key.bit_length() - 1
+    bounds = [b for b in range(m + 1) if key >> b & 1]
+    twos = 0
+    for k, b in enumerate(bounds):  # k boundaries lie below b
+        twos = twos + 1 if k and b - bounds[k - 1] == 2 else 0
+        if 0 < b < m:
+            yield key ^ (1 << b), (-1) ** k
+        if m + 2 <= n and key >> b & 7 != 5:  # 5: a part 2 starts at b
+            target = (key & ((2 << b) - 1)) | ((key >> b) << (b + 2))
+            span = twos if literal_parity else twos + 1  # j2 - j1, or the run length
+            yield target, (-1) ** (k - twos) if span % 2 else 0
+
+
+def _closure(partition, n):
+    """Keys of all cells in the closure of the type's cells in degree n."""
     partition = comps.as_partition(partition)
     l = sum(partition)
     if l > n:
         raise StratumError("partition weight %d exceeds ambient degree %d" % (l, n))
     if (n - l) % 2:
         raise StratumError("ambient minus weight must be even")
-    seeds = [StratumCell(c, n) for c in comps.compositions_of_type(partition)]
-    if not partition:
-        seeds = [StratumCell((), n)]
-    seen = set(seeds)
-    frontier = list(seeds)
+    seen = {_key(c) for c in comps.compositions_of_type(partition)}
+    frontier = list(seen)
     while frontier:
-        cell = frontier.pop()
-        for nxt in _moves(cell):
-            assert nxt.dimension == cell.dimension - 1
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+        for target, _ in _faces(frontier.pop(), n):
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
 
 
-def _moves(cell):
-    parts, n = cell.parts, cell.ambient
-    out = []
-    for i in range(len(parts) - 1):
-        merged = parts[:i] + (parts[i] + parts[i + 1],) + parts[i + 2 :]
-        out.append(StratumCell(merged, n))
-    if sum(parts) + 2 <= n:
-        for slot in range(len(parts) + 1):
-            out.append(StratumCell(parts[:slot] + (2,) + parts[slot:], n))
-    return out
+def closure_cells(partition, n):
+    """All cells in the closure of the type's cells in ambient degree n.
 
-
-def _runs_of_twos(parts):
-    """Maximal runs of 2's as (start, end) part indices, 1-based inclusive."""
-    runs, start = [], None
-    for k, a in enumerate(parts):
-        if a == 2:
-            if start is None:
-                start = k
-        elif start is not None:
-            runs.append((start + 1, k))
-            start = None
-    if start is not None:
-        runs.append((start + 1, len(parts)))
-    return runs
+    Closure under merging adjacent parts and inserting a part 2; each move
+    drops the dimension by exactly one.
+    """
+    return frozenset(StratumCell(_parts(key), n) for key in _closure(partition, n))
 
 
 def boundary(cell, literal_parity=False):
@@ -118,37 +132,12 @@ def boundary(cell, literal_parity=False):
     j2 - j1 even instead of runs of even length; that variant fails
     d(d(x)) = 0 and exists only for regression diagnostics.
     """
-    parts, n = cell.parts, cell.ambient
-    out = {}
-    for i in range(1, len(parts)):
-        merged = parts[: i - 1] + (parts[i - 1] + parts[i],) + parts[i + 1 :]
-        target = StratumCell(merged, n)
-        out[target] = out.get(target, 0) + (-1) ** i
-    if sum(parts) + 2 <= n:
-        inserted = {
-            parts[:slot] + (2,) + parts[slot:] for slot in range(len(parts) + 1)
-        }
-        for b in sorted(inserted):
-            matches = []
-            for j1, j2 in _runs_of_twos(b):
-                # deleting one 2 of the run must recover the original parts
-                recovered = b[: j1 - 1] + (2,) * (j2 - j1) + b[j2:]
-                if recovered == parts:
-                    matches.append((j1, j2))
-            if len(matches) != 1:
-                raise StratumError(
-                    "insertion target %r recovered from %d runs of %r"
-                    % (b, len(matches), parts)
-                )
-            j1, j2 = matches[0]
-            if literal_parity:
-                vanishes = (j2 - j1) % 2 == 0
-            else:
-                vanishes = (j2 - j1 + 1) % 2 == 0
-            if not vanishes:
-                target = StratumCell(b, n)
-                out[target] = out.get(target, 0) + (-1) ** (j1 - 1)
-    return {c: v for c, v in out.items() if v}
+    n = cell.ambient
+    return {
+        StratumCell(_parts(target), n): v
+        for target, v in _faces(_key(cell.parts), n, literal_parity)
+        if v
+    }
 
 
 def boundary_of_chain(chain, literal_parity=False):
@@ -162,23 +151,28 @@ def boundary_of_chain(chain, literal_parity=False):
 
 def pol_chain_complex(partition, n):
     """Chain complex on the closure cells, graded by cell dimension."""
-    cells = sorted(closure_cells(partition, n), key=lambda c: (c.dimension, c.parts))
+    parts = {key: _parts(key) for key in _closure(partition, n)}
     by_dim = {}
-    for cell in cells:
-        by_dim.setdefault(cell.dimension, []).append(cell)
-    index = {
-        d: {cell: i for i, cell in enumerate(cs)} for d, cs in by_dim.items()
+    for key in sorted(parts, key=parts.get):
+        by_dim.setdefault(_dimension(key, n), []).append(key)
+    generators = {
+        d: tuple(StratumCell(parts[key], n) for key in keys)
+        for d, keys in by_dim.items()
     }
-    generators = {d: tuple(cs) for d, cs in by_dim.items()}
     boundaries = {}
-    for d, cs in by_dim.items():
-        lower = index.get(d - 1, {})
+    for d, keys in by_dim.items():
+        lower = {key: i for i, key in enumerate(by_dim.get(d - 1, ()))}
         cols = {}
-        for c, cell in enumerate(cs):
+        for c, key in enumerate(keys):
             col = {}
-            for target, v in boundary(cell).items():
-                assert target.dimension == d - 1
-                col[lower[target]] = v
+            for target, v in _faces(key, n):
+                if target not in lower:
+                    raise InvariantError(
+                        "move from %s leaves the dimension-%d closure cells"
+                        % (generators[d][c], d - 1)
+                    )
+                if v:
+                    col[lower[target]] = v
             if col:
                 cols[c] = col
         if cols:
@@ -193,15 +187,11 @@ def pol_homology(partition, n):
 
 def closure_poset(partition, n):
     """The closure cells ordered by boundary containment (for export)."""
-    cells = sorted(closure_cells(partition, n), key=lambda c: (-c.dimension, c.parts))
-    cell_set = set(cells)
-    covers = set()
-    index = {c: i for i, c in enumerate(cells)}
-    for cell in cells:
-        for nxt in _moves(cell):
-            if nxt in cell_set:
-                covers.add((index[nxt], index[cell]))
-    return Poset(cells, covers)
+    parts = {key: _parts(key) for key in _closure(partition, n)}
+    keys = sorted(parts, key=lambda k: (-_dimension(k, n), parts[k]))
+    index = {key: i for i, key in enumerate(keys)}
+    covers = {(index[t], index[key]) for key in keys for t, _ in _faces(key, n)}
+    return Poset([StratumCell(parts[key], n) for key in keys], covers)
 
 
 def _total_cell_count(n):
@@ -219,12 +209,12 @@ def complement_cohomology(partition, n):
     down by universal coefficients.  Rejects closures filling the whole
     coefficient space, where the complement is empty.
     """
-    cells = closure_cells(partition, n)
-    if len(cells) == _total_cell_count(n):
+    complex_ = pol_chain_complex(partition, n)
+    if sum(map(len, complex_.generators.values())) == _total_cell_count(n):
         raise StratumError(
             "closure of %r fills the whole degree-%d space" % (tuple(partition), n)
         )
-    h = pol_homology(partition, n)
+    h = chain_homology(complex_)
     groups = {}
     for q in range(0, n):
         betti = h.betti(n - q - 1)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -226,3 +230,56 @@ class TestExport:
     def test_missing_options_exit_2(self, runner):
         assert runner.invoke(cli.main, ["export", "clambda"]).exit_code == 2
         assert runner.invoke(cli.main, ["export", "iterated"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (
+            ["pol", "--lambda", "1,1,2", "--n", "8"],
+            "ae72b47f8465820e480f0b999b3625bc1066b32a5ea602df81f862055723943f",
+        ),
+        (
+            ["hyp", "--lambda", "1,1,2,2", "--backend", "cells", "--format", "json"],
+            "060c9b9fa8e4bef2c45bf27b53d90024f2af41ee14f1ca691571bce794cdbbe5",
+        ),
+        (
+            ["verify", "d-squared", "--l", "5", "--n-max", "9", "--format", "json"],
+            "af6a9f34bf734a1af82c86664ef550db684e92ab030dd5a9b811a70e62808779",
+        ),
+    ],
+)
+def test_cells_pipeline_golden_digest(runner, args, digest):
+    # pinned outputs of the strata cells pipeline
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "module,args",
+    [
+        ("polystrata.iterated", ["export", "iterated", "--n", "3", "--d", "2"]),
+        ("polystrata.posets", ["verify", "prop-3-11"]),
+    ],
+)
+def test_invariant_failure_exits_3_under_optimize(module, args):
+    # python -O drops asserts; a failed isomorphism re-check must still exit 3
+    code = (
+        "import importlib, sys\n"
+        "from polystrata import cli\n"
+        "importlib.import_module(%r).check_isomorphism = lambda *a: False\n"
+        "sys.argv[1:] = %r\n"
+        "cli.main()\n" % (module, args)
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "invariant failure" in result.stderr

@@ -20,9 +20,7 @@ from polystrata.compositions import (
     multiplicities,
     parse_parts,
     partial_sums,
-    partition_join,
     positions,
-    set_partition_of_composition,
     submasks,
     type_merged_sets,
     weight,
@@ -102,6 +100,60 @@ class TestMergedSets:
             composition_from_merged_set(3, 0b100)
         with pytest.raises(ValueError):
             composition_from_partial_sums(3, 0b100)
+
+
+# ---------------------------------------------------------------------------
+# Set partitions: the interval-partition view of merged-set unions, kept as
+# the oracle of TestSetPartitions
+
+
+def as_set_partition(blocks):
+    blocks = frozenset(frozenset(b) for b in blocks)
+    if any(not b for b in blocks):
+        raise ValueError("empty block")
+    elems = [x for b in blocks for x in b]
+    if len(elems) != len(set(elems)):
+        raise ValueError("blocks are not disjoint")
+    return blocks
+
+
+def partition_join(pi, rho):
+    """Join in the partition lattice: components of the union of block relations."""
+    pi, rho = as_set_partition(pi), as_set_partition(rho)
+    ground_pi = {x for b in pi for x in b}
+    ground_rho = {x for b in rho for x in b}
+    if ground_pi != ground_rho:
+        raise ValueError("ground-set mismatch")
+    parent = {x: x for x in ground_pi}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for block in list(pi) + list(rho):
+        first = min(block)
+        for x in block:
+            union(first, x)
+    out = {}
+    for x in ground_pi:
+        out.setdefault(find(x), set()).add(x)
+    return as_set_partition(out.values())
+
+
+def set_partition_of_composition(parts):
+    """The interval set-partition |1..a1|a1+1..a1+a2|... of [n]."""
+    blocks, start = [], 1
+    for a in parts:
+        blocks.append(frozenset(range(start, start + a)))
+        start += a
+    return as_set_partition(blocks)
 
 
 class TestSetPartitions:

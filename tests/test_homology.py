@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polystrata import homology
 from polystrata.homology import (
     BoundarySquareError,
     ChainComplex,
     HomologyResult,
+    InvariantError,
     SimplicialComplex,
     _collapse,
     chain_homology,
@@ -40,6 +42,11 @@ class TestSmithNormalForm:
 
     def test_torsion_pair(self):
         assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
+
+    def test_broken_divisibility_chain_raises(self, monkeypatch):
+        monkeypatch.setattr(homology, "_dense_snf", lambda m: [2, 3])
+        with pytest.raises(InvariantError, match="divisibility chain"):
+            smith_normal_form([[2, 0], [0, 3]])
 
     @given(
         st.lists(

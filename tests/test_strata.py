@@ -2,11 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystrata.homology import BoundarySquareError, HomologyResult, sphere_homology
+from polystrata import strata
+from polystrata.compositions import compositions_of_type
+from polystrata.homology import (
+    BoundarySquareError,
+    HomologyResult,
+    InvariantError,
+    sphere_homology,
+)
 from polystrata.strata import (
     StratumCell,
     StratumError,
-    _runs_of_twos,
     _total_cell_count,
     boundary,
     boundary_of_chain,
@@ -17,6 +23,102 @@ from polystrata.strata import (
     pol_homology,
     stabilization_report,
 )
+from polystrata.verify import partitions_of
+
+# ---------------------------------------------------------------------------
+# Oracle: the closure, boundary and chain complex computed on part tuples,
+# independently of the boundary-set keys in ``strata``
+
+
+def _runs_of_twos(parts):
+    """Maximal runs of 2's as (start, end) part indices, 1-based inclusive."""
+    runs, start = [], None
+    for k, a in enumerate(parts):
+        if a == 2:
+            if start is None:
+                start = k
+        elif start is not None:
+            runs.append((start + 1, k))
+            start = None
+    if start is not None:
+        runs.append((start + 1, len(parts)))
+    return runs
+
+
+def oracle_moves(parts, n):
+    out = []
+    for i in range(len(parts) - 1):
+        out.append(parts[:i] + (parts[i] + parts[i + 1],) + parts[i + 2 :])
+    if sum(parts) + 2 <= n:
+        for slot in range(len(parts) + 1):
+            out.append(parts[:slot] + (2,) + parts[slot:])
+    return out
+
+
+def oracle_closure(partition, n):
+    """Part tuples of the closure cells in ambient degree n."""
+    seen = set(compositions_of_type(partition))
+    frontier = list(seen)
+    while frontier:
+        parts = frontier.pop()
+        for nxt in oracle_moves(parts, n):
+            assert len(nxt) - sum(nxt) == len(parts) - sum(parts) - 1
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def oracle_boundary(parts, n, literal_parity=False):
+    """{part tuple: coefficient}, by the run of 2's a new part lands in."""
+    out = {}
+    for i in range(1, len(parts)):
+        merged = parts[: i - 1] + (parts[i - 1] + parts[i],) + parts[i + 1 :]
+        out[merged] = out.get(merged, 0) + (-1) ** i
+    if sum(parts) + 2 <= n:
+        inserted = {
+            parts[:slot] + (2,) + parts[slot:] for slot in range(len(parts) + 1)
+        }
+        for b in sorted(inserted):
+            matches = []
+            for j1, j2 in _runs_of_twos(b):
+                # deleting one 2 of the run must recover the original parts
+                recovered = b[: j1 - 1] + (2,) * (j2 - j1) + b[j2:]
+                if recovered == parts:
+                    matches.append((j1, j2))
+            assert len(matches) == 1
+            j1, j2 = matches[0]
+            if literal_parity:
+                vanishes = (j2 - j1) % 2 == 0
+            else:
+                vanishes = (j2 - j1 + 1) % 2 == 0
+            if not vanishes:
+                out[b] = out.get(b, 0) + (-1) ** (j1 - 1)
+    return {c: v for c, v in out.items() if v}
+
+
+def oracle_chain_complex(n, boundaries):
+    """Part-tuple generators and index boundary columns by cell dimension."""
+    dim = lambda parts: len(parts) + n - sum(parts)
+    by_dim = {}
+    for parts in sorted(boundaries, key=lambda c: (dim(c), c)):
+        by_dim.setdefault(dim(parts), []).append(parts)
+    index = {parts: i for cs in by_dim.values() for i, parts in enumerate(cs)}
+    columns = {}
+    for d, cs in by_dim.items():
+        cols = {}
+        for c, parts in enumerate(cs):
+            if boundaries[parts]:
+                cols[c] = {index[t]: v for t, v in boundaries[parts].items()}
+        if cols:
+            columns[d] = cols
+    return {d: tuple(cs) for d, cs in by_dim.items()}, columns
+
+
+def by_parts(chain, n):
+    assert all(cell.ambient == n for cell in chain)
+    return {cell.parts: v for cell, v in chain.items()}
+
 
 partitions = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(
     lambda p: tuple(sorted(p))
@@ -84,6 +186,7 @@ class TestClosure:
 
 class TestRuns:
     def test_runs_of_twos(self):
+        # the oracle's run finder
         assert _runs_of_twos((2, 2, 1, 2)) == [(1, 2), (4, 4)]
         assert _runs_of_twos((1, 3)) == []
         assert _runs_of_twos((2,)) == [(1, 1)]
@@ -128,6 +231,46 @@ class TestBoundary:
             boundary(cell, literal_parity=True), literal_parity=True
         )
         assert square == {StratumCell((2, 2), 4): -1}
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("weight", range(9))
+    def test_keys_match_tuple_oracle(self, weight):
+        for partition in partitions_of(weight):
+            for n in range(weight, 13, 2):
+                cells = oracle_closure(partition, n)
+                assert {c.parts for c in closure_cells(partition, n)} == cells
+                bounds = {parts: oracle_boundary(parts, n) for parts in cells}
+                for parts in cells:
+                    cell = StratumCell(parts, n)
+                    assert by_parts(boundary(cell), n) == bounds[parts]
+                    assert by_parts(
+                        boundary(cell, literal_parity=True), n
+                    ) == oracle_boundary(parts, n, literal_parity=True)
+                generators, columns = oracle_chain_complex(n, bounds)
+                complex_ = pol_chain_complex(partition, n)
+                assert {
+                    d: tuple(c.parts for c in cs) for d, cs in complex_.generators.items()
+                } == generators
+                assert complex_.boundaries == columns
+
+    def test_one_label_per_cell(self, monkeypatch):
+        built = []
+        init = StratumCell.__post_init__
+        monkeypatch.setattr(
+            StratumCell, "__post_init__", lambda c: built.append(c) or init(c)
+        )
+        complex_ = pol_chain_complex((1, 1, 1, 1), 8)
+        assert len(built) == sum(map(len, complex_.generators.values()))
+
+    def test_move_out_of_the_closure_raises(self, monkeypatch):
+        # a move that keeps the dimension has no row in degree d - 1
+        faces = strata._faces
+        monkeypatch.setattr(
+            strata, "_faces", lambda key, n: [*faces(key, n), (key, 0)]
+        )
+        with pytest.raises(InvariantError, match="leaves the dimension"):
+            pol_chain_complex((1, 2), 5)
 
 
 class TestHomology:

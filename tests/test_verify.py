@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from polystrata import strata
+from polystrata.homology import BoundarySquareError
 from polystrata.verify import (
     Case,
     SUITES,
@@ -67,6 +69,22 @@ class TestReports:
         labels = [c.label for c in report.cases]
         assert "literal-parity regression" in labels
         assert report.passed
+
+    def test_d_squared_counts_only_square_failures(self, monkeypatch):
+        def broken(partition, n):
+            raise BoundarySquareError("d(d(x)) != 0")
+
+        monkeypatch.setattr(strata, "pol_chain_complex", broken)
+        report = d_squared_suite(max_weight=2, max_ambient=4)
+        assert not report.passed
+
+    def test_d_squared_lets_other_errors_through(self, monkeypatch):
+        def broken(partition, n):
+            raise TypeError("bug in the cells pipeline")
+
+        monkeypatch.setattr(strata, "pol_chain_complex", broken)
+        with pytest.raises(TypeError, match="cells pipeline"):
+            d_squared_suite(max_weight=2, max_ambient=4)
 
     def test_resonant_exemplar_refused(self):
         with pytest.raises(ValueError, match=r"\(1, 2, 3\)"):
