@@ -2,9 +2,10 @@
 
 Everything runs over arbitrary-precision Python integers.  Invariant factors
 come from a sparse elimination that peels off unit pivots before falling back
-to a dense Smith reduction on whatever small core remains; large simplicial
-complexes are shrunk by elementary collapses first, which changes nothing
-homologically.
+to a dense Smith reduction on whatever small core remains.  Chain complexes
+are reduced degree by degree, so a cell paired by a unit pivot in one degree
+never enters the next boundary matrix; large simplicial complexes are shrunk
+by elementary collapses first.  Neither changes anything homologically.
 
 All homology here uses the reduced convention.  The empty complex has a single
 reduced homology group Z in degree -1; a point has none.
@@ -45,7 +46,7 @@ def smith_normal_form(matrix):
             if v:
                 rows.setdefault(i, {})[j] = v
                 cols.setdefault(j, set()).add(i)
-    return _invariant_factors(rows, cols)
+    return _invariant_factors(len(_unit_pivots(rows, cols)), rows, cols)
 
 
 def _sparse_eliminate(rows, cols, pi, pj):
@@ -70,8 +71,12 @@ def _sparse_eliminate(rows, cols, pi, pj):
     cols.pop(pj, None)
 
 
-def _invariant_factors(rows, cols):
-    unit = 0
+def _unit_pivots(rows, cols):
+    """Eliminate unit pivots until none is left; returns the (row, column) pairs.
+
+    ``rows`` and ``cols`` are reduced in place to the residual matrix.
+    """
+    pairs = []
     progress = True
     while progress:
         progress = False
@@ -87,9 +92,14 @@ def _invariant_factors(rows, cols):
                         best = j
             if best is not None:
                 _sparse_eliminate(rows, cols, i, best)
-                unit += 1
+                pairs.append((i, best))
                 progress = True
-    factors = [1] * unit
+    return pairs
+
+
+def _invariant_factors(units, rows, cols):
+    """``units`` ones, then the dense Smith factors of a residual, checked."""
+    factors = [1] * units
     if rows:
         col_index = {j: k for k, j in enumerate(sorted(cols))}
         dense = []
@@ -272,7 +282,7 @@ class ChainComplex:
                 raise ValueError("boundary in degree %d without generators" % q)
             nlow = len(self.generators.get(q - 1, ()))
             for c, col in cols.items():
-                if c >= len(self.generators[q]):
+                if not 0 <= c < len(self.generators[q]):
                     raise ValueError("boundary column %d out of range" % c)
                 if any(r >= nlow or r < 0 for r in col):
                     raise ValueError("boundary row out of range in degree %d" % q)
@@ -301,27 +311,44 @@ class ChainComplex:
                         "d(d(%r)) = %r is nonzero" % (label, surv)
                     )
 
-    def boundary_matrix_sparse(self, q):
-        """(rows, cols) dict-of-dicts view of the degree-q boundary."""
-        rows, cols = {}, {}
-        for c, col in self.boundaries.get(q, {}).items():
-            for r, v in col.items():
-                rows.setdefault(r, {})[c] = v
-                cols.setdefault(c, set()).add(r)
-        return rows, cols
-
 
 def chain_homology(complex_):
-    """Exact homology of a ChainComplex, degree by degree.
+    """Exact homology of a ChainComplex, reduced degree by degree.
+
+    The degrees are walked upwards.  Each unit pivot of d_q pairs a
+    degree-(q-1) cell with a degree-q cell, and both drop out without
+    changing the homology: the upper cell's row of d_{q+1} is zero after the
+    basis change, so it is never built, and the lower cell's column of the
+    d_{q-1} residual is then zero too, so it is deleted before that
+    residual's dense Smith reduction.  Only d_q and the d_{q-1} residual are held at a time.
 
     Betti_q = dim ker d_q - rank d_{q+1}; torsion_q = invariant factors of
     d_{q+1} exceeding 1.  The Euler characteristics of generators and of the
     answer are cross-checked.
     """
     factors = {}
+    upper = set()  # degree-(q-1) cells paired by d_{q-1}
+    below = None  # q - 1, the pair count of d_{q-1} and its residual
     for q in complex_.degrees():
-        rows, cols = complex_.boundary_matrix_sparse(q)
-        factors[q] = _invariant_factors(rows, cols)
+        rows, cols = {}, {}
+        for c, col in complex_.boundaries.get(q, {}).items():
+            for r, v in col.items():
+                if r not in upper:
+                    rows.setdefault(r, {})[c] = v
+                    cols.setdefault(c, set()).add(r)
+        pairs = _unit_pivots(rows, cols)
+        if below:
+            low, units, low_rows, low_cols = below
+            for b, _ in pairs:
+                for i in low_cols.pop(b, ()):
+                    del low_rows[i][b]
+                    if not low_rows[i]:
+                        del low_rows[i]
+            factors[low] = _invariant_factors(units, low_rows, low_cols)
+        below = (q, len(pairs), rows, cols)
+        upper = {a for _, a in pairs}
+    if below:
+        factors[below[0]] = _invariant_factors(*below[1:])
     groups = {}
     for q in complex_.degrees():
         n_q = len(complex_.generators[q])

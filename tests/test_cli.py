@@ -257,6 +257,34 @@ def test_cells_pipeline_golden_digest(runner, args, digest):
 
 
 @pytest.mark.parametrize(
+    "args,digest",
+    [
+        (
+            ["order-complex", "--lambda", "1,2,3,5", "--format", "json"],
+            "798ec417f4d8ba631988a523e47c938c4ddecc4ca8dba7c3a663e2c1b6bdab81",
+        ),
+        (
+            ["delta", "--lambda", "1,2,4,7", "--format", "json"],
+            "24887a60d4a6008acf1684b1b131d364b19b724eeaf852a2a6e3440762d14604",
+        ),
+        (
+            ["hyp", "--lambda", "1,1,2,3,4", "--format", "json"],
+            "9cb3ec767c3f3a26d2caa497b3cb8e8606dff4d2f23e4729b6d64739ae579b6e",
+        ),
+        (
+            ["verify", "paper-table", "--format", "json"],
+            "43033efa053b4703f85c8f0a4a35728d893e9619bfac3d833e12b22519200978",
+        ),
+    ],
+)
+def test_simplicial_pipeline_golden_digest(runner, args, digest):
+    # pinned outputs of the order-complex and partial-sum face pipelines
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "module,args",
     [
         ("polystrata.iterated", ["export", "iterated", "--n", "3", "--d", "2"]),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystrata import homology
+from polystrata.compositions import c_lambda_poset
 from polystrata.homology import (
     BoundarySquareError,
     ChainComplex,
@@ -19,6 +20,73 @@ from polystrata.homology import (
     sphere_homology,
     suspension_shift,
 )
+from polystrata.posets import face_poset, order_complex
+from polystrata.strata import pol_chain_complex
+from polystrata.verify import partitions_of
+
+# ---------------------------------------------------------------------------
+# Oracle: one Smith pass over each whole boundary matrix, no cell dropped
+
+
+def oracle_chain_homology(complex_):
+    factors = {}
+    for q in complex_.degrees():
+        rows, cols = {}, {}
+        for c, col in complex_.boundaries.get(q, {}).items():
+            for r, v in col.items():
+                rows.setdefault(r, {})[c] = v
+                cols.setdefault(c, set()).add(r)
+        units = len(homology._unit_pivots(rows, cols))
+        factors[q] = homology._invariant_factors(units, rows, cols)
+    groups = {}
+    for q, gens in complex_.generators.items():
+        up = factors.get(q + 1, ())
+        betti = len(gens) - len(factors.get(q, ())) - len(up)
+        groups[q] = (betti, tuple(d for d in up if d > 1))
+    return HomologyResult.of(groups)
+
+
+def checked_against_oracle(monkeypatch):
+    """Make every chain_homology call also compare with the oracle."""
+    seen = []
+
+    def both(complex_):
+        result = chain_homology(complex_)
+        assert result == oracle_chain_homology(complex_)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(homology, "chain_homology", both)
+    return seen
+
+
+def unimodular(rng, n, steps):
+    """A random n x n integer matrix of determinant +-1 and its inverse."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for k in range(n):
+            a[i][k] += c * a[j][k]  # a <- E a, E = 1 + c e_ij
+            inv[k][j] -= c * inv[k][i]  # inv <- inv E^-1
+    if n:
+        k = rng.randrange(n)
+        a[k] = [-v for v in a[k]]
+        for row in inv:
+            row[k] = -row[k]
+    return a, inv
+
+
+def matmul(x, y):
+    return [[sum(u * v for u, v in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+# RP^2 with six vertices: the antipodal quotient of the icosahedron
+RP2_FACETS = [
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+]
 
 
 class TestSmithNormalForm:
@@ -61,6 +129,30 @@ class TestSmithNormalForm:
         assert all(f > 0 for f in factors)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        # sympy pads with zeros up to min(rows, cols); ours lists nonzeros only
+        @given(
+            st.integers(1, 6).flatmap(
+                lambda nc: st.lists(
+                    st.one_of(
+                        st.just([0] * nc),
+                        st.lists(st.integers(-12, 12), min_size=nc, max_size=nc),
+                    ),
+                    min_size=1,
+                    max_size=6,
+                )
+            )
+        )
+        @settings(max_examples=80, deadline=None)
+        def check(matrix):
+            theirs = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+            assert smith_normal_form(matrix) == tuple(abs(int(d)) for d in theirs if d)
+
+        check()
 
     @given(
         st.lists(
@@ -129,6 +221,14 @@ class TestChainHomology:
         complex_ = ChainComplex({0: ("a",), 1: ("b",)}, {1: {0: {0: 2}}})
         assert chain_homology(complex_) == HomologyResult.of({0: (0, (2,))})
 
+    def test_torsion_below_a_unit_pair(self):
+        # d(x1) = y1 pairs y1 with x1; the residual 2 of d(x0) = 2 y0 must stay
+        complex_ = ChainComplex(
+            {0: ("y0",), 1: ("x0", "y1"), 2: ("x1",)},
+            {1: {0: {0: 2}}, 2: {0: {1: 1}}},
+        )
+        assert chain_homology(complex_) == HomologyResult.of({0: (0, (2,))})
+
     def test_rejects_nonzero_square(self):
         generators = {0: ("a",), 1: ("b", "c"), 2: ("d",)}
         boundaries = {1: {0: {0: 1}, 1: {0: 1}}, 2: {0: {0: 1, 1: 1}}}
@@ -140,6 +240,84 @@ class TestChainHomology:
             ChainComplex({1: ("x",)}, {1: {0: {5: 1}}})
         with pytest.raises(ValueError):
             ChainComplex({}, {1: {0: {0: 1}}})
+        with pytest.raises(ValueError):
+            ChainComplex({0: ("a", "b"), 1: ("e",)}, {1: {-1: {0: 1, 1: -1}}})
+
+
+class TestDegreeReduction:
+    @pytest.mark.parametrize("weight", range(9))
+    def test_pol_complexes_match_oracle(self, weight):
+        for partition in partitions_of(weight):
+            for n in range(weight, 13, 2):
+                complex_ = pol_chain_complex(partition, n)
+                assert chain_homology(complex_) == oracle_chain_homology(complex_)
+
+    @pytest.mark.parametrize("precollapse", [True, False])
+    @pytest.mark.parametrize("weight", range(1, 8))
+    def test_order_complexes_match_oracle(self, monkeypatch, weight, precollapse):
+        seen = checked_against_oracle(monkeypatch)
+        for partition in partitions_of(weight):
+            complex_ = order_complex(c_lambda_poset(partition))
+            simplicial_homology(complex_, precollapse=precollapse)
+        assert len(seen) == len(partitions_of(weight))
+
+    @pytest.mark.parametrize("precollapse", [True, False])
+    def test_projective_plane_has_two_torsion(self, monkeypatch, precollapse):
+        seen = checked_against_oracle(monkeypatch)
+        rp2 = SimplicialComplex.generated(range(6), RP2_FACETS)
+        subdivided = order_complex(face_poset(rp2))
+        assert len(subdivided.faces) > 64  # big enough to be collapsed
+        expected = HomologyResult.of({1: (0, (2,))})
+        for complex_ in (rp2, subdivided):
+            assert simplicial_homology(complex_, precollapse=precollapse) == expected
+        assert len(seen) == 2
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from((0, 1, 2, 6, 12))),
+            max_size=8,
+        ),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_conjugated_normal_forms(self, blocks, seed):
+        # block (q, 0) is a free generator in degree q; block (q, f) is a pair
+        # x, y in degrees q + 1, q with d(x) = f y.  Random unimodular bases
+        # hide the pairs, but the homology stays known: Z per free generator,
+        # Z/f per f > 1, and 2 | 6 | 12 keeps the torsion a divisibility chain
+        sizes = {q: 0 for q in range(5)}
+        pairs = []
+        expected = {q: [0, []] for q in range(5)}
+        for q, f in blocks:
+            if f == 0:
+                expected[q][0] += 1
+            else:
+                pairs.append((q, sizes[q], sizes[q + 1], f))
+                sizes[q + 1] += 1
+                if f > 1:
+                    expected[q][1].append(f)
+            sizes[q] += 1
+        rng = random.Random(seed)
+        bases = {q: unimodular(rng, n, 3 * n) for q, n in sizes.items()}
+        generators = {q: tuple("%d.%d" % (q, i) for i in range(n)) for q, n in sizes.items()}
+        boundaries = {}
+        for q in range(1, 5):
+            d = [[0] * sizes[q] for _ in range(sizes[q - 1])]
+            for low, row, col, f in pairs:
+                if low == q - 1:
+                    d[row][col] = f
+            if d and d[0]:
+                conj = matmul(matmul(bases[q - 1][0], d), bases[q][1])
+                boundaries[q] = {
+                    c: {r: row[c] for r, row in enumerate(conj) if row[c]}
+                    for c in range(sizes[q])
+                }
+        complex_ = ChainComplex(generators, boundaries)
+        known = HomologyResult.of(
+            {q: (b, tuple(sorted(t))) for q, (b, t) in expected.items()}
+        )
+        assert chain_homology(complex_) == known
+        assert oracle_chain_homology(complex_) == known
 
 
 class TestSimplicialComplex:
