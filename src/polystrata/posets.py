@@ -413,19 +413,16 @@ def are_isomorphic(p, q):
         q_by_color.setdefault(c, []).append(j)
     assignment = [None] * n
     used = [False] * n
+    mapped = [0] * n  # assigned cover neighbours of each element of P
 
     def pick_next():
         # most constrained first: many mapped neighbors, then rare color
         best, best_key = None, None
         for i in range(n):
-            if assignment[i] is not None:
-                continue
-            mapped = sum(assignment[x] is not None for x in up_p[i]) + sum(
-                assignment[x] is not None for x in down_p[i]
-            )
-            key = (-mapped, len(q_by_color[pc[i]]), i)
-            if best_key is None or key < best_key:
-                best, best_key = i, key
+            if assignment[i] is None:
+                key = (-mapped[i], len(q_by_color[pc[i]]), i)
+                if best_key is None or key < best_key:
+                    best, best_key = i, key
         return best
 
     def candidates(i):
@@ -445,21 +442,33 @@ def are_isomorphic(p, q):
             cand = set(q_by_color[pc[i]])
         return sorted(j for j in cand if not used[j] and qc[j] == pc[i])
 
-    def backtrack(depth):
-        if depth == n:
-            return True
-        i = pick_next()
-        for j in candidates(i):
-            assignment[i] = j
-            used[j] = True
-            if backtrack(depth + 1):
-                return True
-            assignment[i] = None
-            used[j] = False
-        return False
+    def place(i, j, step):
+        """Map i to j (step 1) or take that back (step -1)."""
+        assignment[i] = j if step > 0 else None
+        used[j] = step > 0
+        for x in up_p[i] + down_p[i]:
+            mapped[x] += step
 
-    if not backtrack(0):
-        return None
+    # depth-first search on an explicit stack of (element, untried images)
+    stack = []
+    advance = True
+    while True:
+        if advance:
+            if len(stack) == n:
+                break
+            i = pick_next()
+            stack.append((i, iter(candidates(i))))
+        i, untried = stack[-1]
+        if assignment[i] is not None:
+            place(i, assignment[i], -1)
+        j = next(untried, None)
+        advance = j is not None
+        if advance:
+            place(i, j, 1)
+        else:
+            stack.pop()
+            if not stack:
+                return None
     mapping = {p.elements[i]: q.elements[assignment[i]] for i in range(n)}
     if not check_isomorphism(p, q, mapping):
         raise InvariantError("found mapping is not an isomorphism")

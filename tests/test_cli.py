@@ -284,21 +284,30 @@ def test_simplicial_pipeline_golden_digest(runner, args, digest):
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
+# per module, a statement run in its namespace that makes one of its checks fail
+BREAK_CHECK = {
+    "polystrata.iterated": "check_isomorphism = lambda *a: False",
+    "polystrata.posets": "check_isomorphism = lambda *a: False",
+    "polystrata.homology": "SimplicialComplex.euler_characteristic = lambda self: 99",
+}
+
+
 @pytest.mark.parametrize(
     "module,args",
     [
         ("polystrata.iterated", ["export", "iterated", "--n", "3", "--d", "2"]),
         ("polystrata.posets", ["verify", "prop-3-11"]),
+        ("polystrata.homology", ["order-complex", "--lambda", "1,2,3"]),
     ],
 )
 def test_invariant_failure_exits_3_under_optimize(module, args):
-    # python -O drops asserts; a failed isomorphism re-check must still exit 3
+    # python -O drops asserts; a failed invariant check must still exit 3
     code = (
         "import importlib, sys\n"
         "from polystrata import cli\n"
-        "importlib.import_module(%r).check_isomorphism = lambda *a: False\n"
+        "exec(%r, vars(importlib.import_module(%r)))\n"
         "sys.argv[1:] = %r\n"
-        "cli.main()\n" % (module, args)
+        "cli.main()\n" % (BREAK_CHECK[module], module, args)
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

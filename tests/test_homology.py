@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -6,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystrata import homology
-from polystrata.compositions import c_lambda_poset
+from polystrata.compositions import (
+    c_lambda_poset,
+    coarsening_poset,
+    delta_lambda_complex,
+)
 from polystrata.homology import (
     BoundarySquareError,
     ChainComplex,
     HomologyResult,
     InvariantError,
     SimplicialComplex,
-    _collapse,
+    _morse_complex,
     chain_homology,
     simplicial_homology,
     smith_normal_form,
@@ -44,6 +49,69 @@ def oracle_chain_homology(complex_):
         betti = len(gens) - len(factors.get(q, ())) - len(up)
         groups[q] = (betti, tuple(d for d in up if d > 1))
     return HomologyResult.of(groups)
+
+
+def augmented_chain_complex(complex_):
+    """Oracle: the whole augmented chain complex, one generator per face."""
+    generators = {-1: ("*",)}
+    for face in sorted(complex_.faces):
+        generators.setdefault(len(face) - 1, []).append(face)
+    index = {f: i for gens in generators.values() for i, f in enumerate(gens)}
+    boundaries = {}
+    for d, faces in generators.items():
+        if d == 0:
+            boundaries[0] = {i: {0: 1} for i in range(len(faces))}
+        elif d > 0:
+            boundaries[d] = {
+                c: {index[f[:k] + f[k + 1 :]]: (-1) ** k for k in range(len(f))}
+                for c, f in enumerate(faces)
+            }
+    return ChainComplex(generators, boundaries)
+
+
+def oracle_simplicial_homology(complex_):
+    return chain_homology(augmented_chain_complex(complex_))
+
+
+def reversed_labels(complex_):
+    """The same complex with vertex i renamed n - 1 - i: another matching."""
+    top = len(complex_.vertices) - 1
+    faces = frozenset(tuple(sorted(top - v for v in f)) for f in complex_.faces)
+    return SimplicialComplex(complex_.vertices[::-1], faces)
+
+
+def random_complexes(seed, count=20):
+    rng = random.Random(seed)
+    for _ in range(count):
+        vertices = range(7)
+        facets = [
+            tuple(sorted(rng.sample(vertices, rng.randint(1, 4))))
+            for _ in range(rng.randint(1, 8))
+        ]
+        yield SimplicialComplex.generated(vertices, facets)
+
+
+def projective_planes():
+    """RP^2 and its first and second barycentric subdivisions."""
+    rp2 = SimplicialComplex.generated(range(6), RP2_FACETS)
+    once = order_complex(face_poset(rp2))
+    return [rp2, once, order_complex(face_poset(once))]
+
+
+@lru_cache(maxsize=1)  # shared by the two cases of one weight
+def type_complexes(weight):
+    """Every type's C_lambda, coarsening-poset and delta complexes, each with
+    its oracle homology."""
+    cases = []
+    for partition in partitions_of(weight):
+        complexes = [
+            order_complex(c_lambda_poset(partition)),
+            order_complex(coarsening_poset(partition)),
+        ]
+        if weight >= 2:
+            complexes.append(delta_lambda_complex(partition).complex)
+        cases.extend((c, oracle_simplicial_homology(c)) for c in complexes)
+    return cases
 
 
 def checked_against_oracle(monkeypatch):
@@ -252,25 +320,29 @@ class TestDegreeReduction:
                 complex_ = pol_chain_complex(partition, n)
                 assert chain_homology(complex_) == oracle_chain_homology(complex_)
 
-    @pytest.mark.parametrize("precollapse", [True, False])
-    @pytest.mark.parametrize("weight", range(1, 8))
-    def test_order_complexes_match_oracle(self, monkeypatch, weight, precollapse):
+    # the Morse path against the whole augmented complex; ``reverse``
+    # renames the vertices, which changes the matching but not the homology
+    @pytest.mark.parametrize("reverse", [True, False])
+    @pytest.mark.parametrize("weight", range(1, 9))
+    def test_order_complexes_match_oracle(self, monkeypatch, weight, reverse):
         seen = checked_against_oracle(monkeypatch)
-        for partition in partitions_of(weight):
-            complex_ = order_complex(c_lambda_poset(partition))
-            simplicial_homology(complex_, precollapse=precollapse)
-        assert len(seen) == len(partitions_of(weight))
+        cases = type_complexes(weight)
+        for complex_, expected in cases:
+            if reverse:
+                complex_ = reversed_labels(complex_)
+            assert simplicial_homology(complex_) == expected
+        assert len(seen) == len(cases)
 
-    @pytest.mark.parametrize("precollapse", [True, False])
-    def test_projective_plane_has_two_torsion(self, monkeypatch, precollapse):
+    @pytest.mark.parametrize("reverse", [True, False])
+    def test_projective_plane_has_two_torsion(self, monkeypatch, reverse):
         seen = checked_against_oracle(monkeypatch)
-        rp2 = SimplicialComplex.generated(range(6), RP2_FACETS)
-        subdivided = order_complex(face_poset(rp2))
-        assert len(subdivided.faces) > 64  # big enough to be collapsed
         expected = HomologyResult.of({1: (0, (2,))})
-        for complex_ in (rp2, subdivided):
-            assert simplicial_homology(complex_, precollapse=precollapse) == expected
-        assert len(seen) == 2
+        for complex_ in projective_planes():
+            if reverse:
+                complex_ = reversed_labels(complex_)
+            assert simplicial_homology(complex_) == expected
+            assert oracle_simplicial_homology(complex_) == expected
+        assert len(seen) == 3
 
     @given(
         st.lists(
@@ -364,24 +436,57 @@ class TestSimplicialComplex:
         assert complex_.euler_characteristic() == 0
 
 
-class TestCollapse:
-    def test_collapse_preserves_homology(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            vertices = range(7)
-            facets = [
-                tuple(sorted(rng.sample(vertices, rng.randint(1, 4))))
-                for _ in range(rng.randint(1, 8))
-            ]
-            complex_ = SimplicialComplex.generated(vertices, facets)
-            fast = simplicial_homology(complex_, precollapse=True)
-            slow = simplicial_homology(complex_, precollapse=False)
-            assert fast == slow
+class TestMorseComplex:
+    def test_random_complexes_match_oracle(self):
+        for complex_ in random_complexes(7):
+            expected = oracle_simplicial_homology(complex_)
+            assert simplicial_homology(complex_) == expected
+            assert simplicial_homology(reversed_labels(complex_)) == expected
 
-    def test_collapsible_simplex_shrinks(self):
+    def test_simplex_leaves_no_critical_cells(self):
         complex_ = SimplicialComplex.generated(range(5), [tuple(range(5))])
-        collapsed = _collapse(complex_.faces)
-        assert len(collapsed) < len(complex_.faces)
+        assert _morse_complex(complex_).generators == {}
+
+    def test_empty_complex_keeps_the_augmentation_cell(self):
+        empty = SimplicialComplex((), frozenset())
+        assert _morse_complex(empty).generators == {-1: ("*",)}
+
+    def test_matching_is_perfect_on_spheres(self):
+        # boundary of the 4-simplex: 30 faces and the augmentation cell
+        sphere = SimplicialComplex.generated(range(5), combinations(range(5), 4))
+        generators = _morse_complex(sphere).generators
+        assert {q: len(g) for q, g in generators.items()} == {3: 1}
+
+    def test_euler_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(SimplicialComplex, "euler_characteristic", lambda self: 99)
+        complex_ = SimplicialComplex.generated(range(6), RP2_FACETS)
+        with pytest.raises(InvariantError, match="critical cells, 98 from faces"):
+            simplicial_homology(complex_)
+
+    def test_boundaries_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        complexes = list(random_complexes(11)) + projective_planes()
+        for weight in range(1, 7):
+            for partition in partitions_of(weight):
+                complexes.append(order_complex(c_lambda_poset(partition)))
+        checked = 0
+        for complex_ in complexes:
+            morse = _morse_complex(complex_)
+            for q, cols in morse.boundaries.items():
+                nrows = len(morse.generators[q - 1])
+                ncols = len(morse.generators[q])
+                matrix = [
+                    [cols.get(c, {}).get(r, 0) for c in range(ncols)]
+                    for r in range(nrows)
+                ]
+                theirs = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+                assert smith_normal_form(matrix) == tuple(
+                    abs(int(d)) for d in theirs if d
+                )
+                checked += 1
+        assert checked
 
 
 class TestHomologyResult:

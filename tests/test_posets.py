@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -15,6 +16,7 @@ from polystrata.posets import (
     are_isomorphic,
     check_isomorphism,
     closure_image,
+    _refine_colors,
     inclusion_poset,
     order_complex,
     product_of_chains,
@@ -289,3 +291,92 @@ class TestIsomorphism:
         base = Poset.chain((0, 1, 2, 3))
         mapping = are_isomorphic(base, chain)
         assert mapping is not None
+
+    def test_large_posets_need_no_recursion(self):
+        # 1,600 elements: one stack frame per element would overflow
+        p, q = product_of_chains(2, 40), product_of_chains(2, 40)
+        assert check_isomorphism(p, q, are_isomorphic(p, q))
+
+
+def random_poset(rng, n, density):
+    """A random order on n elements: a random DAG, closed transitively."""
+    below = [0] * n
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < density:
+                below[i] |= 1 << j | below[j]
+    return Poset._from_below(tuple(range(n)), below)
+
+
+def relabeled(rng, poset):
+    perm = list(range(len(poset)))
+    rng.shuffle(perm)
+    return Poset(
+        tuple(range(len(poset))), {(perm[a], perm[b]) for a, b in poset.covers}
+    )
+
+
+def crowns(cycles):
+    """Height-one posets whose Hasse diagram is a disjoint union of even cycles.
+
+    A cycle of length 2k alternates k minimal and k maximal elements, so every
+    element has two covers and colour refinement cannot tell the unions of a
+    fixed total length apart.
+    """
+    covers = set()
+    start = 0
+    for k in cycles:
+        low, high = range(start, start + k), range(start + k, start + 2 * k)
+        for i in range(k):
+            covers |= {(low[i], high[i]), (low[i], high[(i + 1) % k])}
+        start += 2 * k
+    return Poset(tuple(range(start)), covers)
+
+
+class TestIsomorphismOracle:
+    """``are_isomorphic`` against networkx on the Hasse digraphs."""
+
+    @staticmethod
+    def networkx_isomorphic(nx, p, q):
+        graphs = []
+        for poset in (p, q):
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(len(poset)))
+            graph.add_edges_from(poset.covers)
+            graphs.append(graph)
+        return nx.is_isomorphic(*graphs)
+
+    def test_random_small_posets(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(3)
+        for _ in range(150):
+            n = rng.randint(0, 8)
+            density = rng.choice((0.2, 0.35, 0.5))
+            p = random_poset(rng, n, density)
+            for q in (random_poset(rng, n, density), relabeled(rng, p)):
+                mapping = are_isomorphic(p, q)
+                assert (mapping is not None) == self.networkx_isomorphic(nx, p, q)
+                if mapping is not None:
+                    assert check_isomorphism(p, q, mapping)
+
+    @pytest.mark.parametrize("total", [4, 6, 8])
+    def test_equal_colour_histograms(self, total):
+        nx = pytest.importorskip("networkx")
+        # every union of cycles with k >= 2 minimal elements each and
+        # ``total`` minimal elements in all; no two are isomorphic
+        splits = [
+            c
+            for r in range(1, total // 2 + 1)
+            for c in combinations_with_replacement(range(2, total + 1), r)
+            if sum(c) == total
+        ]
+        posets = [crowns(c) for c in splits]
+        histograms = {
+            tuple(sorted(_refine_colors(p, p.heights()))) for p in posets
+        }
+        assert len(histograms) == 1
+        for a, p in enumerate(posets):
+            for b, q in enumerate(posets):
+                found = are_isomorphic(p, relabeled(random.Random(a), q))
+                assert (found is not None) == (a == b)
+                assert (found is not None) == self.networkx_isomorphic(nx, p, q)
