@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 
 class InvariantError(Exception):
@@ -379,31 +379,61 @@ def chain_homology(complex_):
 # Simplicial complexes
 
 
+def _check_face(face, n):
+    """Reject all but sorted, duplicate-free, nonempty tuples of indices < n."""
+    if not isinstance(face, tuple) or not face or tuple(sorted(set(face))) != face:
+        raise ValueError("face %r is not a sorted duplicate-free tuple" % (face,))
+    if face[0] < 0 or face[-1] >= n:
+        raise ValueError("face %r has out-of-range vertices" % (face,))
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Finite abstract simplicial complex on an indexed vertex set.
 
     Faces are nonempty sorted tuples of vertex indices, closed under taking
     nonempty subsets.  The empty complex (no faces) is allowed.
+
+    Validation builds ``_table``, the face table the Morse reduction reads:
+    cells ``()`` and then the faces by size, and each cell's facet indices.
     """
 
     vertices: tuple
     faces: frozenset
+    _table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.vertices)
-        for face in self.faces:
-            if not face or tuple(sorted(set(face))) != face:
-                raise ValueError("face %r is not a sorted duplicate-free tuple" % (face,))
-            if face[0] < 0 or face[-1] >= n:
-                raise ValueError("face %r has out-of-range vertices" % (face,))
-            if len(face) > 1:
-                for sub in combinations(face, len(face) - 1):
-                    if sub not in self.faces:
+        n, faces = len(self.vertices), self.faces
+        try:
+            # a face of 3+ vertices whose facets are faces is sorted and in
+            # range, as its first and last facets are, so only shorter ones are
+            # checked here; a fault sends every face through every check
+            if not all(issubclass(t, tuple) for t in set(map(type, faces))):
+                raise ValueError("a face is not a tuple")
+            cells = sorted(faces, key=len)
+            for face in cells:
+                if len(face) > 2:
+                    break
+                _check_face(face, n)
+            cells.insert(0, ())
+            get = {f: i for i, f in enumerate(cells)}.__getitem__
+            # facets[c][k] is cell c without its vertex k, with sign (-1)^k
+            facets = [()]
+            facets.extend(
+                tuple(map(get, combinations(f, len(f) - 1)))[::-1]
+                for f in cells[1:]
+            )
+        except (KeyError, ValueError):
+            for face in faces:
+                _check_face(face, n)
+                for sub in combinations(face, len(face) - 1) if len(face) > 1 else ():
+                    if sub not in faces:
                         raise ValueError(
                             "not downward closed: %r present, %r missing"
                             % (face, sub)
-                        )
+                        ) from None
+            raise
+        object.__setattr__(self, "_table", (tuple(cells), tuple(facets)))
 
     @staticmethod
     def generated(vertices, facets):
@@ -420,14 +450,10 @@ class SimplicialComplex:
         return max((len(f) for f in self.faces), default=0) - 1
 
     def facets(self):
-        """Faces maximal under inclusion."""
-        face_sets = [set(f) for f in self.faces]
-        out = []
-        for f in self.faces:
-            fs = set(f)
-            if not any(fs < g for g in face_sets):
-                out.append(f)
-        return sorted(out)
+        """Faces maximal under inclusion: those that no cell lists as a facet."""
+        cells, facets = self._table
+        listed = set(chain.from_iterable(facets))
+        return sorted(cells[c] for c in set(range(1, len(cells))) - listed)
 
     def euler_characteristic(self):
         sizes = Counter(map(len, self.faces))
@@ -437,12 +463,12 @@ class SimplicialComplex:
 def _morse_complex(complex_):
     """The Morse complex of a coreduction matching on the augmented chains.
 
-    Cells are the faces and the augmentation cell ``()``, ordered by
-    dimension.  The augmentation cell is paired with a vertex; then, while a
-    live cell has exactly one live facet, the two are paired; otherwise the
-    lowest-dimensional live cell, all of whose facets are gone, is critical.
-    Removal order makes the matching acyclic (Mrozek & Batko, *Coreduction
-    homology algorithm*, 2009).
+    Cells, ``()`` and then the faces by dimension, and their signed facets
+    come from the complex's face table.  The augmentation cell is paired with
+    a vertex; then, while a live cell has exactly one live facet, the two are
+    paired; otherwise the lowest-dimensional live cell, all of whose facets
+    are gone, is critical.  Removal order makes the matching acyclic (Mrozek
+    & Batko, *Coreduction homology algorithm*, 2009).
 
     Boundaries come from the flow of each removed cell onto the critical
     cells, memoised in removal order (Harker, Mischaikow, Mrozek & Nanda,
@@ -452,14 +478,7 @@ def _morse_complex(complex_):
     critical cell's boundary is the signed sum of its facets' flows.  The
     critical cells' Euler characteristic is checked against the faces'.
     """
-    cells = [()]
-    cells.extend(sorted(complex_.faces, key=len))
-    get = {f: i for i, f in enumerate(cells)}.__getitem__
-    # facets[c][k] is cell c without its vertex k, with sign (-1)^k
-    facets = [()]
-    facets.extend(
-        tuple(map(get, combinations(f, len(f) - 1)))[::-1] for f in cells[1:]
-    )
+    cells, facets = complex_._table
     n = len(cells)
     cofaces = [[] for _ in range(n)]
     for c, fs in enumerate(facets):
@@ -471,14 +490,6 @@ def _morse_complex(complex_):
     boundary = {}  # critical cell -> its Morse boundary
     queue = deque()
 
-    def remove(*removed):
-        for c in removed:
-            live[c] = 0
-            for up in cofaces[c]:
-                count[up] -= 1
-                if count[up] == 1:
-                    queue.append(up)
-
     def facet_flow(fs, skip, sign):
         acc = {}
         for k, f in enumerate(fs):
@@ -488,29 +499,35 @@ def _morse_complex(complex_):
                     acc[x] = acc.get(x, 0) + coeff * v
         return {x: v for x, v in acc.items() if v}
 
-    if n > 1:
-        remove(0, 1)  # the augmentation cell and the first vertex
+    removed = (0, 1) if n > 1 else ()  # the augmentation cell and a vertex
     lowest = 0
     while True:
-        while queue:
+        for c in removed:
+            live[c] = 0
+            for up in cofaces[c]:
+                count[up] -= 1
+                if count[up] == 1:
+                    queue.append(up)
+        removed = ()
+        if queue:
             s = queue.popleft()
-            if count[s] != 1 or not live[s]:
-                continue
-            fs = facets[s]
-            k = 0
-            while not live[fs[k]]:
-                k += 1
-            down = facet_flow(fs, k, 1 if k & 1 else -1)
-            if down:
-                flow[fs[k]] = down
-            remove(fs[k], s)
+            if count[s] == 1 and live[s]:
+                fs = facets[s]
+                k = 0
+                while not live[fs[k]]:
+                    k += 1
+                down = facet_flow(fs, k, 1 if k & 1 else -1)
+                if down:
+                    flow[fs[k]] = down
+                removed = (fs[k], s)
+            continue
         while lowest < n and not live[lowest]:
             lowest += 1
         if lowest == n:
             break
         boundary[lowest] = facet_flow(facets[lowest], -1, 1)
         flow[lowest] = {lowest: 1}
-        remove(lowest)
+        removed = (lowest,)
     generators = {}
     position = {}
     for c in boundary:

@@ -260,17 +260,19 @@ class GroupAction:
 
 
 def order_complex(poset):
-    """Complex of all nonempty chains; vertex i is element i of the poset."""
-    up = [list(_bits(mask)) for mask in poset._above]
-    faces = set()
+    """Complex of all nonempty chains; vertex i is element i of the poset.
 
-    def extend(chain):
-        faces.add(tuple(sorted(chain)))
-        for nxt in up[chain[-1]]:
-            extend(chain + (nxt,))
-
-    for i in range(len(up)):
-        extend((i,))
+    Chains grow level by level; they come sorted when index order is a
+    linear extension, as for C_λ, coarsening and face posets.
+    """
+    up = [tuple(_bits(mask)) for mask in poset._above]
+    faces = []
+    level = [(i,) for i in range(len(up))]
+    while level:
+        faces.extend(level)
+        level = [c + (j,) for c in level for j in up[c[-1]]]
+    if any(mask & ((1 << i) - 1) for i, mask in enumerate(poset._above)):
+        faces = map(tuple, map(sorted, faces))
     return SimplicialComplex(poset.elements, frozenset(faces))
 
 

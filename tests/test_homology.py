@@ -91,6 +91,14 @@ def random_complexes(seed, count=20):
         yield SimplicialComplex.generated(vertices, facets)
 
 
+def facets_by_subset_scan(complex_):
+    """Oracle: faces contained in no other face, by comparing every pair."""
+    face_sets = [set(f) for f in complex_.faces]
+    return sorted(
+        f for f in complex_.faces if not any(set(f) < g for g in face_sets)
+    )
+
+
 def projective_planes():
     """RP^2 and its first and second barycentric subdivisions."""
     rp2 = SimplicialComplex.generated(range(6), RP2_FACETS)
@@ -434,6 +442,55 @@ class TestSimplicialComplex:
     def test_euler_characteristic(self):
         complex_ = SimplicialComplex.generated("abc", [(0, 1), (1, 2), (0, 2)])
         assert complex_.euler_characteristic() == 0
+
+    @pytest.mark.parametrize(
+        "faces, message",
+        [
+            ([()], r"face \(\) is not a sorted duplicate-free tuple"),
+            ([(0,), (1,), (1, 0)], r"face \(1, 0\) is not a sorted"),
+            ([(0,), (0, 0)], r"face \(0, 0\) is not a sorted"),
+            ([(0,), (3,)], r"face \(3,\) has out-of-range vertices"),
+            ([(0,), (-1,)], r"face \(-1,\) has out-of-range vertices"),
+            (
+                [(0,), (0, 2)],
+                r"not downward closed: \(0, 2\) present, \(2,\) missing",
+            ),
+            # faces of three vertices: their facets are looked up, not checked
+            (
+                [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 2, 1)],
+                r"face \(0, 2, 1\) is not a sorted",
+            ),
+            ([(0,), (1,), (0, 1), (0, 0, 1)], r"face \(0, 0, 1\) is not a sorted"),
+            (
+                [(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)],
+                r"not downward closed: \(0, 1, 2\) present, \(0, 2\) missing",
+            ),
+            (
+                [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), frozenset({0, 1, 2})],
+                r"face frozenset\(\{0, 1, 2\}\) is not a sorted",
+            ),
+        ],
+    )
+    def test_validation_errors(self, faces, message):
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex(tuple("abc"), frozenset(faces))
+
+    def test_equal_faces_compare_and_hash_equal(self):
+        faces = [(0,), (1,), (2,), (0, 1), (1, 2)]
+        built = SimplicialComplex(tuple("abc"), frozenset(faces))
+        generated = SimplicialComplex.generated("abc", [(1, 2), (0, 1)])
+        assert built == generated and hash(built) == hash(generated)
+        assert built != SimplicialComplex(tuple("abc"), frozenset(faces[:4]))
+        assert "_table" not in repr(built)
+
+    def test_facets_match_subset_scan(self):
+        complexes = list(random_complexes(3, count=60))
+        for weight in range(2, 9):
+            for partition in partitions_of(weight):
+                complexes.append(delta_lambda_complex(partition).complex)
+        complexes.append(SimplicialComplex((), frozenset()))
+        for complex_ in complexes:
+            assert complex_.facets() == facets_by_subset_scan(complex_)
 
 
 class TestMorseComplex:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polystrata.compositions import c_lambda_poset
 from polystrata.homology import simplicial_homology, sphere_homology
 from polystrata.permutahedron import permutahedron_face_poset, young_subgroup_action
 from polystrata.posets import (
@@ -22,6 +23,7 @@ from polystrata.posets import (
     product_of_chains,
     quotient_poset,
 )
+from polystrata.verify import partitions_of
 
 
 def divisor_poset(n):
@@ -132,6 +134,57 @@ class TestOrderComplex:
             ]
             poset = Poset.from_le(subsets, lambda x, y: x <= y)
             assert simplicial_homology(order_complex(poset)) == sphere_homology(k - 2)
+
+
+def comparable_subsets(poset):
+    """Oracle: every nonempty set of pairwise comparable elements, as sorted
+    index tuples, grown one element at a time by comparing every pair."""
+    keys = poset.elements
+    comparable = [[poset.leq(x, y) or poset.leq(y, x) for y in keys] for x in keys]
+    found = set()
+    level = [(i,) for i in range(len(keys))]
+    while level:
+        found.update(level)
+        level = [
+            s + (j,)
+            for s in level
+            for j in range(s[-1] + 1, len(keys))
+            if all(comparable[i][j] for i in s)
+        ]
+    return found
+
+
+def is_linear_extension(poset):
+    """True iff element i < element j implies i < j."""
+    keys = poset.elements
+    return not any(poset.lt(y, x) for i, x in enumerate(keys) for y in keys[i + 1 :])
+
+
+class TestOrderComplexOracle:
+    def test_random_small_posets(self):
+        rng = random.Random(13)
+        for _ in range(80):
+            poset = random_poset(rng, rng.randint(0, 9), rng.random())
+            for p in (poset, relabeled(rng, poset), poset.dual()):
+                assert order_complex(p).faces == comparable_subsets(p)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_chains_and_antichains(self, n):
+        chain, antichain = Poset.chain(range(n)), Poset.antichain(range(n))
+        assert order_complex(chain).faces == comparable_subsets(chain)
+        assert len(order_complex(chain).faces) == 2**n - 1
+        assert order_complex(antichain).faces == {(i,) for i in range(n)}
+
+    def test_dual_c_lambda_posets(self):
+        # reversing C_lambda's covers leaves index order no linear extension,
+        # so its chains take the sorting path
+        unsorted = 0
+        for weight in range(1, 7):
+            for partition in partitions_of(weight):
+                dual = c_lambda_poset(partition).dual()
+                unsorted += not is_linear_extension(dual)
+                assert order_complex(dual).faces == comparable_subsets(dual)
+        assert unsorted
 
 
 def _powerset(items):
