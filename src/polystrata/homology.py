@@ -19,6 +19,7 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from operator import lt
 
 
 class InvariantError(Exception):
@@ -379,14 +380,6 @@ def chain_homology(complex_):
 # Simplicial complexes
 
 
-def _check_face(face, n):
-    """Reject all but sorted, duplicate-free, nonempty tuples of indices < n."""
-    if not isinstance(face, tuple) or not face or tuple(sorted(set(face))) != face:
-        raise ValueError("face %r is not a sorted duplicate-free tuple" % (face,))
-    if face[0] < 0 or face[-1] >= n:
-        raise ValueError("face %r has out-of-range vertices" % (face,))
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Finite abstract simplicial complex on an indexed vertex set.
@@ -403,36 +396,24 @@ class SimplicialComplex:
     _table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n, faces = len(self.vertices), self.faces
-        try:
-            # a face of 3+ vertices whose facets are faces is sorted and in
-            # range, as its first and last facets are, so only shorter ones are
-            # checked here; a fault sends every face through every check
-            if not all(issubclass(t, tuple) for t in set(map(type, faces))):
-                raise ValueError("a face is not a tuple")
-            cells = sorted(faces, key=len)
-            for face in cells:
-                if len(face) > 2:
-                    break
-                _check_face(face, n)
-            cells.insert(0, ())
-            get = {f: i for i, f in enumerate(cells)}.__getitem__
-            # facets[c][k] is cell c without its vertex k, with sign (-1)^k
-            facets = [()]
-            facets.extend(
-                tuple(map(get, combinations(f, len(f) - 1)))[::-1]
-                for f in cells[1:]
-            )
-        except (KeyError, ValueError):
-            for face in faces:
-                _check_face(face, n)
-                for sub in combinations(face, len(face) - 1) if len(face) > 1 else ():
-                    if sub not in faces:
-                        raise ValueError(
-                            "not downward closed: %r present, %r missing"
-                            % (face, sub)
-                        ) from None
-            raise
+        n = len(self.vertices)
+        cells = [()]
+        cells.extend(sorted(self.faces, key=len))
+        get = {f: i for i, f in enumerate(cells)}.__getitem__
+        # facets[c][k] is cell c without its vertex k, with sign (-1)^k
+        facets = [()]
+        for face in cells[1:]:
+            if not isinstance(face, tuple) or not face or not all(map(lt, face, face[1:])):
+                raise ValueError("face %r is not a sorted duplicate-free tuple" % (face,))
+            if face[0] < 0 or face[-1] >= n:
+                raise ValueError("face %r has out-of-range vertices" % (face,))
+            try:
+                facets.append(tuple(map(get, combinations(face, len(face) - 1)))[::-1])
+            except KeyError as missing:
+                raise ValueError(
+                    "not downward closed: %r present, %r missing"
+                    % (face, missing.args[0])
+                ) from None
         object.__setattr__(self, "_table", (tuple(cells), tuple(facets)))
 
     @staticmethod
@@ -490,6 +471,14 @@ def _morse_complex(complex_):
     boundary = {}  # critical cell -> its Morse boundary
     queue = deque()
 
+    def remove(*removed):
+        for c in removed:
+            live[c] = 0
+            for up in cofaces[c]:
+                count[up] -= 1
+                if count[up] == 1:
+                    queue.append(up)
+
     def facet_flow(fs, skip, sign):
         acc = {}
         for k, f in enumerate(fs):
@@ -499,35 +488,29 @@ def _morse_complex(complex_):
                     acc[x] = acc.get(x, 0) + coeff * v
         return {x: v for x, v in acc.items() if v}
 
-    removed = (0, 1) if n > 1 else ()  # the augmentation cell and a vertex
+    if n > 1:
+        remove(0, 1)  # the augmentation cell and the first vertex
     lowest = 0
     while True:
-        for c in removed:
-            live[c] = 0
-            for up in cofaces[c]:
-                count[up] -= 1
-                if count[up] == 1:
-                    queue.append(up)
-        removed = ()
-        if queue:
+        while queue:
             s = queue.popleft()
-            if count[s] == 1 and live[s]:
-                fs = facets[s]
-                k = 0
-                while not live[fs[k]]:
-                    k += 1
-                down = facet_flow(fs, k, 1 if k & 1 else -1)
-                if down:
-                    flow[fs[k]] = down
-                removed = (fs[k], s)
-            continue
+            if count[s] != 1 or not live[s]:
+                continue
+            fs = facets[s]
+            k = 0
+            while not live[fs[k]]:
+                k += 1
+            down = facet_flow(fs, k, 1 if k & 1 else -1)
+            if down:
+                flow[fs[k]] = down
+            remove(fs[k], s)
         while lowest < n and not live[lowest]:
             lowest += 1
         if lowest == n:
             break
         boundary[lowest] = facet_flow(facets[lowest], -1, 1)
         flow[lowest] = {lowest: 1}
-        removed = (lowest,)
+        remove(lowest)
     generators = {}
     position = {}
     for c in boundary:

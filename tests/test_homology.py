@@ -455,7 +455,7 @@ class TestSimplicialComplex:
                 [(0,), (0, 2)],
                 r"not downward closed: \(0, 2\) present, \(2,\) missing",
             ),
-            # faces of three vertices: their facets are looked up, not checked
+            # faces of three vertices
             (
                 [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 2, 1)],
                 r"face \(0, 2, 1\) is not a sorted",
