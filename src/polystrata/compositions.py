@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, index
 
 from .homology import HomologyResult, SimplicialComplex, simplicial_homology
 from .posets import (
@@ -31,8 +31,12 @@ from .posets import (
 
 
 def as_composition(parts):
-    parts = tuple(int(a) for a in parts)
-    if any(a < 1 for a in parts):
+    """A tuple of positive integer parts; any other part raises ValueError."""
+    try:
+        parts = tuple(map(index, parts))
+    except TypeError as exc:
+        raise ValueError("composition parts must be integers: %s" % exc) from None
+    if parts and min(parts) < 1:
         raise ValueError("composition parts must be positive: %r" % (parts,))
     return parts
 

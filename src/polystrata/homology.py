@@ -284,11 +284,12 @@ class ChainComplex:
         for q, cols in self.boundaries.items():
             if q not in self.generators:
                 raise ValueError("boundary in degree %d without generators" % q)
+            ncols = len(self.generators[q])
             nlow = len(self.generators.get(q - 1, ()))
             for c, col in cols.items():
-                if not 0 <= c < len(self.generators[q]):
+                if not 0 <= c < ncols:
                     raise ValueError("boundary column %d out of range" % c)
-                if any(r >= nlow or r < 0 for r in col):
+                if min(col) < 0 or max(col) >= nlow:
                     raise ValueError("boundary row out of range in degree %d" % q)
         self._check_squares_to_zero()
 
@@ -297,22 +298,24 @@ class ChainComplex:
 
     def _check_squares_to_zero(self):
         for q, cols in self.boundaries.items():
-            lower = self.boundaries.get(q - 1, {})
+            lower = self.boundaries.get(q - 1)
             if not lower:
                 continue
+            get = lower.get
             for c, col in cols.items():
                 acc = {}
                 for r, v in col.items():
-                    for r2, v2 in lower.get(r, {}).items():
+                    low = get(r)
+                    if low is None:
+                        continue
+                    for r2, v2 in low.items():
                         acc[r2] = acc.get(r2, 0) + v * v2
-                bad = {r: v for r, v in acc.items() if v}
-                if bad:
-                    label = self.generators[q][c]
+                if any(acc.values()):
                     surv = {
-                        self.generators[q - 2][r]: v for r, v in bad.items()
+                        self.generators[q - 2][r]: v for r, v in acc.items() if v
                     }
                     raise BoundarySquareError(
-                        "d(d(%r)) = %r is nonzero" % (label, surv)
+                        "d(d(%r)) = %r is nonzero" % (self.generators[q][c], surv)
                     )
 
 

@@ -13,6 +13,12 @@ highest bit and t is one less than the number of bits.  A merge clears an
 inner bit; inserting a 2 at boundary b keeps the bits up to b and shifts the
 rest up by 2.  ``StratumCell`` labels the cells for export.
 
+A closure is walked once, from the type's cells, and the walk records each
+cell's moves in a table, checking as it goes that every move drops the
+dimension by one: the keys of the table are the closure cells, its nonzero
+coefficients the boundary columns and all of its moves the covers of the
+closure poset.
+
 The boundary operator combines the alternating merge signs with a sign for
 each insertion that depends on the run of 2's the new part lands in: the
 coefficient vanishes when the run has even length and equals (-1)^(j1-1)
@@ -69,9 +75,12 @@ def _key(parts):
 
 
 def _parts(key):
-    """The composition whose boundary set is ``key``."""
-    bounds = comps.positions(key)
-    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    """The composition whose boundary set is ``key``.
+
+    Read from bit 0 up, ``key`` is a 1 at each boundary, and a part a is a 1
+    followed by a - 1 zeros.
+    """
+    return tuple([len(z) + 1 for z in bin(key)[:1:-1].split("1")[1:-1]])
 
 
 def _dimension(key, n):
@@ -99,21 +108,35 @@ def _faces(key, n, literal_parity=False):
 
 
 def _closure(partition, n):
-    """Keys of all cells in the closure of the type's cells in degree n."""
+    """The move table of the closure of the type's cells in degree n.
+
+    Each cell key maps to its moves from ``_faces``, (target key,
+    coefficient) pairs with zero coefficients included; the keys are the
+    closure cells.  Each move is checked to drop the dimension by one as it
+    is recorded.
+    """
     partition = comps.as_partition(partition)
     l = sum(partition)
     if l > n:
         raise StratumError("partition weight %d exceeds ambient degree %d" % (l, n))
     if (n - l) % 2:
         raise StratumError("ambient minus weight must be even")
-    seen = {_key(c) for c in comps.compositions_of_type(partition)}
-    frontier = list(seen)
+    frontier = [_key(c) for c in comps.compositions_of_type(partition)]
+    table = dict.fromkeys(frontier)
     while frontier:
-        for target, _ in _faces(frontier.pop(), n):
-            if target not in seen:
-                seen.add(target)
+        key = frontier.pop()
+        moves = table[key] = list(_faces(key, n))
+        low = key.bit_count() - key.bit_length() - 1  # dimension - 1 - n
+        for target, _ in moves:
+            if target.bit_count() - target.bit_length() != low:
+                raise InvariantError(
+                    "move from %s leaves the dimension-%d closure cells"
+                    % (StratumCell(_parts(key), n), low + n)
+                )
+            if target not in table:
+                table[target] = None
                 frontier.append(target)
-    return seen
+    return table
 
 
 def closure_cells(partition, n):
@@ -150,8 +173,12 @@ def boundary_of_chain(chain, literal_parity=False):
 
 
 def pol_chain_complex(partition, n):
-    """Chain complex on the closure cells, graded by cell dimension."""
-    parts = {key: _parts(key) for key in _closure(partition, n)}
+    """Chain complex on the closure cells, graded by cell dimension.
+
+    The columns are read off the move table, each entry dropped once used.
+    """
+    table = _closure(partition, n)
+    parts = {key: _parts(key) for key in table}
     by_dim = {}
     for key in sorted(parts, key=parts.get):
         by_dim.setdefault(_dimension(key, n), []).append(key)
@@ -164,15 +191,7 @@ def pol_chain_complex(partition, n):
         lower = {key: i for i, key in enumerate(by_dim.get(d - 1, ()))}
         cols = {}
         for c, key in enumerate(keys):
-            col = {}
-            for target, v in _faces(key, n):
-                if target not in lower:
-                    raise InvariantError(
-                        "move from %s leaves the dimension-%d closure cells"
-                        % (generators[d][c], d - 1)
-                    )
-                if v:
-                    col[lower[target]] = v
+            col = {lower[target]: v for target, v in table.pop(key) if v}
             if col:
                 cols[c] = col
         if cols:
@@ -187,10 +206,13 @@ def pol_homology(partition, n):
 
 def closure_poset(partition, n):
     """The closure cells ordered by boundary containment (for export)."""
-    parts = {key: _parts(key) for key in _closure(partition, n)}
+    table = _closure(partition, n)
+    parts = {key: _parts(key) for key in table}
     keys = sorted(parts, key=lambda k: (-_dimension(k, n), parts[k]))
     index = {key: i for i, key in enumerate(keys)}
-    covers = {(index[t], index[key]) for key in keys for t, _ in _faces(key, n)}
+    covers = {
+        (index[t], index[key]) for key, moves in table.items() for t, _ in moves
+    }
     return Poset([StratumCell(parts[key], n) for key in keys], covers)
 
 

@@ -289,6 +289,7 @@ BREAK_CHECK = {
     "polystrata.iterated": "check_isomorphism = lambda *a: False",
     "polystrata.posets": "check_isomorphism = lambda *a: False",
     "polystrata.homology": "SimplicialComplex.euler_characteristic = lambda self: 99",
+    "polystrata.strata": "_faces = (lambda f: lambda key, n: f(key, n, True))(_faces)",
 }
 
 
@@ -298,6 +299,7 @@ BREAK_CHECK = {
         ("polystrata.iterated", ["export", "iterated", "--n", "3", "--d", "2"]),
         ("polystrata.posets", ["verify", "prop-3-11"]),
         ("polystrata.homology", ["order-complex", "--lambda", "1,2,3"]),
+        ("polystrata.strata", ["pol", "--lambda", "1,1", "--n", "4"]),
     ],
 )
 def test_invariant_failure_exits_3_under_optimize(module, args):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -35,6 +36,17 @@ class TestBasics:
     def test_as_composition_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             as_composition((1, 0))
+
+    @pytest.mark.parametrize("part", [1.5, Fraction(3, 2)])
+    def test_as_composition_rejects_non_integers(self, part):
+        # a part is never truncated to an int
+        with pytest.raises(ValueError, match="must be integers"):
+            as_composition((1, part))
+
+    def test_as_composition_keeps_integers(self):
+        assert as_composition([3, 1, 2]) == (3, 1, 2)
+        assert as_composition(a for a in (2, 2)) == (2, 2)
+        assert as_composition(()) == ()
 
     def test_as_partition_sorts(self):
         assert as_partition((3, 1, 2)) == (1, 2, 3)

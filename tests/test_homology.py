@@ -308,8 +308,9 @@ class TestChainHomology:
     def test_rejects_nonzero_square(self):
         generators = {0: ("a",), 1: ("b", "c"), 2: ("d",)}
         boundaries = {1: {0: {0: 1}, 1: {0: 1}}, 2: {0: {0: 1, 1: 1}}}
-        with pytest.raises(BoundarySquareError):
+        with pytest.raises(BoundarySquareError) as info:
             ChainComplex(generators, boundaries)
+        assert str(info.value) == "d(d('d')) = {'a': 2} is nonzero"
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -318,6 +319,12 @@ class TestChainHomology:
             ChainComplex({}, {1: {0: {0: 1}}})
         with pytest.raises(ValueError):
             ChainComplex({0: ("a", "b"), 1: ("e",)}, {1: {-1: {0: 1, 1: -1}}})
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_row_out_of_range(self, row):
+        # rows run over 0 .. count of degree-(q-1) generators - 1
+        with pytest.raises(ValueError, match="row out of range in degree 1"):
+            ChainComplex({0: ("a", "b"), 1: ("e",)}, {1: {0: {0: 1, row: -1}}})
 
 
 class TestDegreeReduction:

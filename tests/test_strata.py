@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystrata import strata
-from polystrata.compositions import compositions_of_type
+from polystrata.compositions import compositions_of_type, positions
 from polystrata.homology import (
     BoundarySquareError,
     HomologyResult,
@@ -254,6 +256,28 @@ class TestAgainstOracle:
                 } == generators
                 assert complex_.boundaries == columns
 
+    def test_parts_match_positions_decoding(self):
+        # every boundary set below 2**14: bit 0 set, so the odd ints
+        for key in range(1, 2**14, 2):
+            bounds = positions(key)
+            assert strata._parts(key) == tuple(
+                b - a for a, b in zip(bounds, bounds[1:])
+            )
+        assert strata._parts(1) == ()
+
+    @pytest.mark.parametrize("weight", range(7))
+    def test_poset_covers_match_oracle_moves(self, weight):
+        for partition in partitions_of(weight):
+            for n in range(weight, 11, 2):
+                poset = closure_poset(partition, n)
+                labels = [c.parts for c in poset.elements]
+                covers = {(labels[a], labels[b]) for a, b in poset.covers}
+                assert covers == {
+                    (low, parts)
+                    for parts in oracle_closure(partition, n)
+                    for low in oracle_moves(parts, n)
+                }
+
     def test_one_label_per_cell(self, monkeypatch):
         built = []
         init = StratumCell.__post_init__
@@ -293,6 +317,12 @@ class TestHomology:
     def test_weight_exceeds_ambient(self):
         with pytest.raises(StratumError):
             closure_cells((3, 3), 4)
+
+    @pytest.mark.parametrize("part", [1.5, Fraction(3, 2)])
+    def test_non_integer_part_refused(self, part):
+        # not truncated to the closure of (1,)
+        with pytest.raises(ValueError):
+            closure_cells((part,), 3)
 
 
 class TestClosurePoset:
