@@ -125,7 +125,7 @@ def _closure(partition, n):
     table = dict.fromkeys(frontier)
     while frontier:
         key = frontier.pop()
-        moves = table[key] = list(_faces(key, n))
+        moves = table[key] = tuple(_faces(key, n))
         low = key.bit_count() - key.bit_length() - 1  # dimension - 1 - n
         for target, _ in moves:
             if target.bit_count() - target.bit_length() != low:
@@ -175,17 +175,14 @@ def boundary_of_chain(chain, literal_parity=False):
 def pol_chain_complex(partition, n):
     """Chain complex on the closure cells, graded by cell dimension.
 
-    The columns are read off the move table, each entry dropped once used.
+    The columns are read off the move table, each entry dropped once used;
+    the labels are built after them, so they never sit beside the full table.
     """
     table = _closure(partition, n)
     parts = {key: _parts(key) for key in table}
     by_dim = {}
     for key in sorted(parts, key=parts.get):
         by_dim.setdefault(_dimension(key, n), []).append(key)
-    generators = {
-        d: tuple(StratumCell(parts[key], n) for key in keys)
-        for d, keys in by_dim.items()
-    }
     boundaries = {}
     for d, keys in by_dim.items():
         lower = {key: i for i, key in enumerate(by_dim.get(d - 1, ()))}
@@ -196,6 +193,10 @@ def pol_chain_complex(partition, n):
                 cols[c] = col
         if cols:
             boundaries[d] = cols
+    generators = {
+        d: tuple(StratumCell(parts[key], n) for key in keys)
+        for d, keys in by_dim.items()
+    }
     return ChainComplex(generators, boundaries)
 
 
