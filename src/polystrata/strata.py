@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import chain
 
 from . import compositions as comps
 from .homology import ChainComplex, HomologyResult, InvariantError, chain_homology
@@ -110,10 +111,9 @@ def _faces(key, n, literal_parity=False):
 def _closure(partition, n):
     """The move table of the closure of the type's cells in degree n.
 
-    Each cell key maps to its moves from ``_faces``, (target key,
-    coefficient) pairs with zero coefficients included; the keys are the
-    closure cells.  Each move is checked to drop the dimension by one as it
-    is recorded.
+    Each cell key maps to its moves from ``_faces``, zero coefficients
+    included, flattened into one tuple (target, coefficient, target, ...):
+    a pair per move would cost a tuple object each.
     """
     partition = comps.as_partition(partition)
     l = sum(partition)
@@ -125,9 +125,9 @@ def _closure(partition, n):
     table = dict.fromkeys(frontier)
     while frontier:
         key = frontier.pop()
-        moves = table[key] = tuple(_faces(key, n))
+        moves = table[key] = tuple(chain.from_iterable(_faces(key, n)))
         low = key.bit_count() - key.bit_length() - 1  # dimension - 1 - n
-        for target, _ in moves:
+        for target in moves[::2]:
             if target.bit_count() - target.bit_length() != low:
                 raise InvariantError(
                     "move from %s leaves the dimension-%d closure cells"
@@ -188,7 +188,8 @@ def pol_chain_complex(partition, n):
         lower = {key: i for i, key in enumerate(by_dim.get(d - 1, ()))}
         cols = {}
         for c, key in enumerate(keys):
-            col = {lower[target]: v for target, v in table.pop(key) if v}
+            moves = table.pop(key)
+            col = {lower[t]: v for t, v in zip(moves[::2], moves[1::2]) if v}
             if col:
                 cols[c] = col
         if cols:
@@ -212,7 +213,7 @@ def closure_poset(partition, n):
     keys = sorted(parts, key=lambda k: (-_dimension(k, n), parts[k]))
     index = {key: i for i, key in enumerate(keys)}
     covers = {
-        (index[t], index[key]) for key, moves in table.items() for t, _ in moves
+        (index[t], index[key]) for key, moves in table.items() for t in moves[::2]
     }
     return Poset([StratumCell(parts[key], n) for key in keys], covers)
 
