@@ -188,8 +188,8 @@ def pol_chain_complex(partition, n):
         lower = {key: i for i, key in enumerate(by_dim.get(d - 1, ()))}
         cols = {}
         for c, key in enumerate(keys):
-            moves = table.pop(key)
-            col = {lower[t]: v for t, v in zip(moves[::2], moves[1::2]) if v}
+            moves = iter(table.pop(key))
+            col = {lower[t]: v for t, v in zip(moves, moves) if v}
             if col:
                 cols[c] = col
         if cols:
