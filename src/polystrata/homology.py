@@ -478,7 +478,8 @@ class SimplicialComplex:
 
     def __post_init__(self):
         n = len(self.vertices)
-        object.__setattr__(self, "_table", _face_table(n, _checked_levels(n, self.faces)))
+        table = _face_table(n, _checked_levels(n, self.faces))
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def _grown(cls, vertices, levels):

@@ -196,6 +196,14 @@ class TestExport:
                 ["iterated", "--n", "3", "--d", "2", "--format", "dot"],
                 "ea0e65b5b42f3969174752f60f27a6c4ca4ad6289e0637ae03d16d7e64d05c18",
             ),
+            (
+                ["delta", "--lambda", "1,1,2,3", "--format", "json"],
+                "3579114adb3f9fa030faac324ecf6b03207edc68fe83eca5b2a5bd7021d6b6f8",
+            ),
+            (
+                ["delta", "--lambda", "1,1,2,3", "--format", "dot"],
+                "24998ed15f677cc38f4ae4f2e958ffdc876eb2cd79305e37340c009b27b5a0a5",
+            ),
         ],
     )
     def test_golden_digest(self, runner, args, digest):
@@ -274,6 +282,14 @@ def test_cells_pipeline_golden_digest(runner, args, digest):
         (
             ["verify", "paper-table", "--format", "json"],
             "43033efa053b4703f85c8f0a4a35728d893e9619bfac3d833e12b22519200978",
+        ),
+        (
+            ["order-complex", "--lambda", "1,1,2,3", "--format", "json"],
+            "ad3ace351a46d31a248e602de9d433203bc7c15205f0f81e10f4a471986d8440",
+        ),
+        (
+            ["hyp", "--lambda", "1,1,2,3", "--format", "json"],
+            "34afe0eb740b41bddaca5673f18d7dd33d9c7697a10718da6086697a9aec8597",
         ),
     ],
 )

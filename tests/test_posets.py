@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystrata.compositions import c_lambda_poset
-from polystrata.homology import simplicial_homology, sphere_homology
+from polystrata.compositions import c_lambda_poset, coarsening_poset
+from polystrata.homology import SimplicialComplex, simplicial_homology, sphere_homology
 from polystrata.permutahedron import permutahedron_face_poset, young_subgroup_action
 from polystrata.posets import (
     ClosureLawError,
@@ -17,6 +17,7 @@ from polystrata.posets import (
     are_isomorphic,
     check_isomorphism,
     closure_image,
+    face_poset,
     _refine_colors,
     inclusion_poset,
     order_complex,
@@ -185,6 +186,54 @@ class TestOrderComplexOracle:
                 unsorted += not is_linear_extension(dual)
                 assert order_complex(dual).faces == comparable_subsets(dual)
         assert unsorted
+
+
+# RP^2 with six vertices: the antipodal quotient of the icosahedron
+RP2_FACETS = [
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+]
+
+
+def table_posets():
+    """Named posets of every kind whose order complex the package builds."""
+    rp2 = SimplicialComplex.generated(range(6), RP2_FACETS)
+    once = face_poset(rp2)  # its order complex: the barycentric subdivision
+    posets = {
+        "chain": Poset.chain(range(5)),
+        "antichain": Poset.antichain(range(4)),
+        "empty": Poset((), ()),
+        "rp2-faces": once,
+        "rp2-once-faces": face_poset(order_complex(once)),
+        "dual-c-lambda": c_lambda_poset((1, 2, 2)).dual(),
+    }
+    for partition in [(1,), (1, 1), (1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 2)]:
+        name = ",".join(map(str, partition))
+        posets["c-lambda-" + name] = c_lambda_poset(partition)
+        posets["coarsening-" + name] = coarsening_poset(partition)
+    return posets
+
+
+class TestOrderComplexTable:
+    @pytest.mark.parametrize("name", table_posets())
+    def test_table_matches_given_faces(self, name):
+        # the table grown from the chains against the one built from the same
+        # faces handed over from outside
+        poset = table_posets()[name]
+        grown = order_complex(poset)
+        given = SimplicialComplex(grown.vertices, grown.faces)
+        for complex_ in (grown, given):
+            cells, facets = complex_._table
+            assert cells[0] == () and facets[0] == ()
+            assert set(cells[1:]) == grown.faces and len(cells) == len(grown.faces) + 1
+            for c, fs in enumerate(facets):
+                assert [cells[f] for f in fs] == [
+                    cells[c][:k] + cells[c][k + 1 :] for k in range(len(cells[c]))
+                ]
+        # both list each level by parent cell, then last vertex
+        assert grown._table == given._table
+        assert simplicial_homology(grown) == simplicial_homology(given)
+        assert is_linear_extension(poset) == (name != "dual-c-lambda")
 
 
 def _powerset(items):
