@@ -12,6 +12,12 @@ consecutive points split at level s but joined at level s - 1 (level 0 joins
 everything) are weakly ordered in the s-th coordinate.  Only the poset,
 dimensions and membership tests live here; boundary maps of these cells for
 d >= 2 are out of scope.
+
+``iterated_poset`` enumerates the merge-count codes once, in base d + 1, and
+builds each element's levels straight from its code; an up-cover adds one
+power of d + 1 to the code, so covers are found by index, not by hashing
+elements.  The merge counts are still re-read from the levels and checked
+against the product of chains on every call.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 
 from .compositions import (
     as_partition,
@@ -40,7 +47,10 @@ class IteratedComposition:
 
     def __post_init__(self):
         n = self.ambient
-        levels = tuple(tuple(sorted(set(int(p) for p in a))) for a in self.levels)
+        try:
+            levels = tuple(tuple(sorted(set(map(index, a)))) for a in self.levels)
+        except TypeError as exc:
+            raise ValueError("positions must be integers: %s" % exc) from None
         object.__setattr__(self, "levels", levels)
         for a in levels:
             if any(p < 1 or p >= n for p in a):
@@ -77,13 +87,16 @@ class IteratedComposition:
         )
 
 
+def _merged_levels(n, d, counts):
+    """The d levels merging position p at the last counts[p - 1] of them."""
+    return tuple(
+        tuple(p for p in range(1, n) if counts[p - 1] >= d - s) for s in range(d)
+    )
+
+
 def from_merge_counts(n, d, counts):
     """Inverse of merge_counts: position p is merged at the last counts[p] levels."""
-    levels = tuple(
-        tuple(p for p in range(1, n) if counts[p - 1] >= d - s)
-        for s in range(d)
-    )
-    return IteratedComposition(n, levels)
+    return IteratedComposition(n, _merged_levels(n, d, counts))
 
 
 def iterated_poset(n, d):
@@ -94,19 +107,26 @@ def iterated_poset(n, d):
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    elements = [
-        from_merge_counts(n, d, counts)
-        for counts in product(range(d + 1), repeat=n - 1)
+    # digits[k] are the merge counts of code k in base d + 1, position 1 first
+    digits = list(product(range(d + 1), repeat=n - 1))
+    levels = [_merged_levels(n, d, counts) for counts in digits]
+    order = sorted(range(len(digits)), key=levels.__getitem__)
+    rank = [0] * len(digits)
+    elements = []
+    for i, k in enumerate(order):
+        rank[k] = i
+        # levels are sorted, nested and in range by construction
+        e = object.__new__(IteratedComposition)
+        object.__setattr__(e, "ambient", n)
+        object.__setattr__(e, "levels", levels[k])
+        elements.append(e)
+    steps = [(d + 1) ** (n - 2 - p) for p in range(n - 1)]
+    covers = [
+        (rank[k], rank[k + step])
+        for k, counts in enumerate(digits)
+        for c, step in zip(counts, steps)
+        if c < d
     ]
-    elements.sort(key=lambda e: e.levels)
-    index = {e: i for i, e in enumerate(elements)}
-    covers = set()
-    for e in elements:
-        counts = e.merge_counts()
-        for p in range(n - 1):
-            if counts[p] < d:
-                up = counts[:p] + (counts[p] + 1,) + counts[p + 1 :]
-                covers.add((index[e], index[from_merge_counts(n, d, up)]))
     poset = Poset(elements, covers)
     chains = product_of_chains(n - 1, d + 1)
     if not check_isomorphism(poset, chains, {e: e.merge_counts() for e in elements}):

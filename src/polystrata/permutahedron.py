@@ -11,11 +11,19 @@ face poset by the Young subgroup permuting equal parts is isomorphic to the
 coarsening poset of the type, via summing the parts over each block.  With
 a resonance present the block-sum map collides; the report exhibits a
 witness instead of an isomorphism.
+
+The face poset of t letters and the index permutation of each adjacent
+transposition (p, p+1) are built once and memoised, per t and per (t, p)
+(``_permutahedron``, ``_transposition``): the ``prop-3-7`` suite quotients
+the same few face posets, t <= 5, for every type it checks.  Each
+Young-subgroup action still checks its generators.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .compositions import as_partition, c_lambda_poset, coarsening_poset
@@ -50,8 +58,9 @@ def merge_adjacent_blocks(blocks, i):
     return blocks[:i] + (merged,) + blocks[i + 2 :]
 
 
-def permutahedron_face_poset(t):
-    """Ordered set partitions of [t] with >= 2 blocks; finer below coarser."""
+@cache
+def _permutahedron(t):
+    """The face poset of t letters, built once per t."""
     if t < 2:
         raise ValueError("need t >= 2")
     elements = ordered_set_partitions(t, min_blocks=2)
@@ -65,31 +74,39 @@ def permutahedron_face_poset(t):
     return Poset(elements, covers)
 
 
-def young_subgroup_action(partition, poset=None):
+@cache
+def _transposition(t, p):
+    """The index permutation relabeling the face poset of t letters by (p, p+1)."""
+    faces = _permutahedron(t)
+    swap = {p: p + 1, p + 1: p}
+    return tuple(
+        faces.index(tuple(tuple(sorted(swap.get(x, x) for x in b)) for b in blocks))
+        for blocks in faces.elements
+    )
+
+
+def permutahedron_face_poset(t):
+    """Ordered set partitions of [t] with >= 2 blocks; finer below coarser.
+
+    The poset is built once per t and shared by every caller.
+    """
+    return _permutahedron(operator.index(t))
+
+
+def young_subgroup_action(partition):
     """Action of the subgroup permuting positions with equal part values.
 
     Parts are sorted ascending and assigned to ground elements 1..t; the
     generators are the adjacent transpositions inside each run of equal
-    parts, acting on ordered set partitions by relabeling.
+    parts, acting on the face poset of t letters by relabeling.
     """
     partition = as_partition(partition)
     t = len(partition)
-    if poset is None:
-        poset = permutahedron_face_poset(t)
-    index = {e: i for i, e in enumerate(poset.elements)}
-    gens = []
-    for p in range(1, t):
-        if partition[p - 1] != partition[p]:
-            continue
-        swap = {p: p + 1, p + 1: p}
-        perm = []
-        for blocks in poset.elements:
-            image = tuple(
-                tuple(sorted(swap.get(x, x) for x in b)) for b in blocks
-            )
-            perm.append(index[image])
-        gens.append(tuple(perm))
-    return GroupAction(poset, gens)
+    faces = _permutahedron(t)
+    gens = [
+        _transposition(t, p) for p in range(1, t) if partition[p - 1] == partition[p]
+    ]
+    return GroupAction(faces, gens)
 
 
 def block_sums(partition, blocks):
@@ -139,9 +156,11 @@ def quotient_report(partition):
     partition = as_partition(partition)
     t = len(partition)
     identities = tuple(primitive_identities(partition))
-    faces = permutahedron_face_poset(t) if t >= 2 else Poset((), set())
-    action = young_subgroup_action(partition, faces) if t >= 2 else GroupAction.trivial(faces)
-    quotient = quotient_poset(faces, action)
+    if t >= 2:
+        action = young_subgroup_action(partition)
+    else:
+        action = GroupAction.trivial(Poset((), set()))
+    quotient = quotient_poset(action.poset, action)
     c_poset = coarsening_poset(partition)
     homology = simplicial_homology(order_complex(c_lambda_poset(partition)))
     if identities:

@@ -62,16 +62,19 @@ class Poset:
             self._up[a].append(b)
             self._down[b].append(a)
         above = [0] * n
-        for i in reversed(self._topological_order()):
-            for j in self._up[i]:
-                above[i] |= 1 << j | above[j]
-        self._above = above
-        # irredundancy: no cover implied by a 2-step path
-        for a, b in covers:
-            if any(above[mid] >> b & 1 for mid in self._up[a]):
+        for a in reversed(self._topological_order()):
+            covered = implied = 0
+            for j in self._up[a]:
+                covered |= 1 << j
+                implied |= above[j]
+            # irredundancy: no cover implied by a path through another cover
+            if covered & implied:
+                b = next(_bits(covered & implied))
                 raise PosetError(
                     "redundant cover (%r, %r)" % (self.elements[a], self.elements[b])
                 )
+            above[a] = covered | implied
+        self._above = above
         self._heights = None
 
     # -- construction helpers ------------------------------------------------

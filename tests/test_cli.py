@@ -204,6 +204,22 @@ class TestExport:
                 ["delta", "--lambda", "1,1,2,3", "--format", "dot"],
                 "24998ed15f677cc38f4ae4f2e958ffdc876eb2cd79305e37340c009b27b5a0a5",
             ),
+            (
+                ["permutahedron", "--t", "5", "--format", "json"],
+                "54a729af9f4452cfc32a687a291c86ac825d45b07ed273922f278fd158a6b2d1",
+            ),
+            (
+                ["permutahedron", "--t", "5", "--format", "dot"],
+                "8107e7260a2d5588912e507d740094190dfe56116fbf0833a59d97fea5d820b9",
+            ),
+            (
+                ["iterated", "--n", "5", "--d", "3", "--format", "json"],
+                "ed492179cfbc0e0990b56b7cf20b93d8662c274a7520909bcfa478e79865e0d4",
+            ),
+            (
+                ["iterated", "--n", "5", "--d", "3", "--format", "dot"],
+                "8146398724817dc94ad633d1824d299d3e65e7b43bba61a2d7036c369eeaeee7",
+            ),
         ],
     )
     def test_golden_digest(self, runner, args, digest):
@@ -291,10 +307,19 @@ def test_cells_pipeline_golden_digest(runner, args, digest):
             ["hyp", "--lambda", "1,1,2,3", "--format", "json"],
             "34afe0eb740b41bddaca5673f18d7dd33d9c7697a10718da6086697a9aec8597",
         ),
+        (
+            ["verify", "prop-3-7", "--format", "json"],
+            "41dcd4345d48b1078ff7d08bf2cb90adbbc0768e11462f79c5068f3807f6db0c",
+        ),
+        (
+            ["verify", "prop-3-11", "--format", "json"],
+            "c0630f3803d2bc49a3c44a56e150a5fcbf0cb0cc3ced6374b9f2d7e5f1f6fcd1",
+        ),
     ],
 )
 def test_simplicial_pipeline_golden_digest(runner, args, digest):
-    # pinned outputs of the order-complex and partial-sum face pipelines
+    # pinned outputs of the order-complex and partial-sum face pipelines,
+    # and of the poset suites (quotients, iterated posets)
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest

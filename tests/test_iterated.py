@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,30 @@ from polystrata.iterated import (
     from_merge_counts,
     iterated_poset,
 )
-from polystrata.posets import are_isomorphic, check_isomorphism, product_of_chains
+from polystrata.posets import Poset, are_isomorphic, check_isomorphism, product_of_chains
 from polystrata.verify import partitions_of
 
 
 def counts_strategy(n, d):
     return st.tuples(*[st.integers(0, d) for _ in range(n - 1)])
+
+
+def iterated_poset_oracle(n, d):
+    """Every element through the validating constructor, covers by lookup."""
+    elements = [
+        from_merge_counts(n, d, counts)
+        for counts in product(range(d + 1), repeat=n - 1)
+    ]
+    elements.sort(key=lambda e: e.levels)
+    index = {e: i for i, e in enumerate(elements)}
+    covers = set()
+    for e in elements:
+        counts = e.merge_counts()
+        for p in range(n - 1):
+            if counts[p] < d:
+                up = counts[:p] + (counts[p] + 1,) + counts[p + 1 :]
+                covers.add((index[e], index[from_merge_counts(n, d, up)]))
+    return Poset(elements, covers)
 
 
 class TestIteratedComposition:
@@ -29,6 +48,17 @@ class TestIteratedComposition:
     def test_positions_in_range(self):
         with pytest.raises(ValueError):
             IteratedComposition(3, ((3,),))
+
+    @pytest.mark.parametrize(
+        "position", [1.5, Fraction(3, 2), "1"], ids=["float", "fraction", "string"]
+    )
+    def test_non_integral_positions_refused(self, position):
+        with pytest.raises(ValueError, match="integers"):
+            IteratedComposition(3, ((position,),))
+
+    def test_integer_positions_normalised(self):
+        pi = IteratedComposition(4, ([2], (3, 1, 2, 2)))
+        assert pi.levels == ((2,), (1, 2, 3))
 
     def test_compositions_view(self):
         pi = IteratedComposition(4, ((2,), (1, 2)))
@@ -71,6 +101,16 @@ class TestIteratedPoset:
             iterated_poset(0, 1)
         with pytest.raises(ValueError):
             iterated_poset(2, 0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 4))
+    def test_matches_constructor_oracle(self, n, d):
+        poset = iterated_poset(n, d)
+        oracle = iterated_poset_oracle(n, d)
+        assert poset.elements == oracle.elements
+        assert [e.levels for e in poset.elements] == [e.levels for e in oracle.elements]
+        assert all(e.ambient == n for e in poset.elements)
+        assert poset.covers == oracle.covers
 
     def test_covers_increment_one_count(self):
         poset = iterated_poset(3, 2)

@@ -1,9 +1,11 @@
+from itertools import product
 from math import factorial
 
 import pytest
 
 from polystrata.homology import simplicial_homology, sphere_homology
 from polystrata.permutahedron import (
+    _permutahedron,
     block_sums,
     merge_adjacent_blocks,
     ordered_set_partitions,
@@ -12,6 +14,34 @@ from polystrata.permutahedron import (
     young_subgroup_action,
 )
 from polystrata.posets import order_complex, quotient_poset
+
+
+def young_generators_oracle(partition, poset):
+    """Young-subgroup generators found by looking up each relabeled element."""
+    t = len(partition)
+    index = {e: i for i, e in enumerate(poset.elements)}
+    gens = []
+    for p in range(1, t):
+        if partition[p - 1] != partition[p]:
+            continue
+        swap = {p: p + 1, p + 1: p}
+        perm = []
+        for blocks in poset.elements:
+            image = tuple(
+                tuple(sorted(swap.get(x, x) for x in b)) for b in blocks
+            )
+            perm.append(index[image])
+        gens.append(tuple(perm))
+    return tuple(gens)
+
+
+def equal_part_patterns(t):
+    """One ascending type of t parts per pattern of equal adjacent parts."""
+    for equal in product((False, True), repeat=t - 1):
+        parts = [1]
+        for same in equal:
+            parts.append(parts[-1] if same else parts[-1] + 1)
+        yield tuple(parts)
 
 
 def fubini(t):
@@ -50,8 +80,18 @@ class TestFacePoset:
         assert len(permutahedron_face_poset(3)) == 12
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            permutahedron_face_poset(1)
+        # refused on every call: a raised error is not memoised
+        for t in (1, 0, -1, 1):
+            with pytest.raises(ValueError):
+                permutahedron_face_poset(t)
+
+    def test_built_once_per_t(self):
+        for t in (2, 3, 4, 5):
+            poset = permutahedron_face_poset(t)
+            assert permutahedron_face_poset(t) is poset
+            fresh = _permutahedron.__wrapped__(t)
+            assert fresh.elements == poset.elements
+            assert fresh.covers == poset.covers
 
     def test_minimal_elements_are_linear_orders(self):
         poset = permutahedron_face_poset(3)
@@ -81,9 +121,16 @@ class TestYoungAction:
             assert all(g[g[i]] == i for i in range(len(g)))
 
     def test_orbit_count_for_swap(self):
-        poset = permutahedron_face_poset(2)
-        action = young_subgroup_action((5, 5), poset)
+        action = young_subgroup_action((5, 5))
         assert len(action.orbits()) == 1
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_generators_match_relabeling_oracle(self, t):
+        for partition in equal_part_patterns(t):
+            action = young_subgroup_action(partition)
+            assert action.poset is permutahedron_face_poset(t)
+            expected = young_generators_oracle(partition, action.poset)
+            assert action.generators == expected, partition
 
 
 class TestBlockSums:
@@ -124,7 +171,6 @@ class TestQuotientReport:
         from polystrata.compositions import coarsening_poset
 
         for partition in [(1, 2), (1, 1, 3), (2, 2, 2), (1, 2, 4)]:
-            poset = permutahedron_face_poset(len(partition))
-            action = young_subgroup_action(partition, poset)
-            quotient = quotient_poset(poset, action)
+            action = young_subgroup_action(partition)
+            quotient = quotient_poset(action.poset, action)
             assert len(quotient) == len(coarsening_poset(partition))

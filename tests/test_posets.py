@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -42,8 +43,12 @@ class TestPosetConstruction:
             Poset(("a", "b"), {(0, 0)})
 
     def test_redundant_cover_rejected(self):
-        with pytest.raises(PosetError):
+        with pytest.raises(PosetError, match=re.escape("redundant cover ('a', 'c')")):
             Poset("abc", {(0, 1), (1, 2), (0, 2)})
+        # implied only through a longer path, above a least element
+        covers = {(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)}
+        with pytest.raises(PosetError, match=re.escape("redundant cover ('a', 'd')")):
+            Poset("xabcd", covers)
 
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
@@ -287,7 +292,7 @@ class TestQuotient:
         # orbit X <= Y iff some member of X is <= some member of Y, brute force
         faces = permutahedron_face_poset(t)
         for partition in combinations_with_replacement(range(1, t + 1), t):
-            quotient = quotient_poset(faces, young_subgroup_action(partition, faces))
+            quotient = quotient_poset(faces, young_subgroup_action(partition))
             reference = Poset.from_le(
                 quotient.elements,
                 lambda xs, ys: any(faces.leq(x, y) for x in xs for y in ys),
