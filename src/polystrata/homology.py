@@ -274,13 +274,14 @@ class ChainComplex:
     """Graded free Z-complex: per-degree generator labels and boundary columns.
 
     ``boundaries[q]`` maps the index of a degree-q generator to a dict
-    {index in degree q-1: coefficient}.  The complex takes the column dicts
-    over as they are, without copying them, so the caller must not change
-    them afterwards.  d(d(x)) = 0 is checked on construction.
+    {index in degree q-1: coefficient}.  The complex keeps the generator
+    sequences and the column dicts as given, without copying them, so the
+    caller must not change them afterwards; it reads a label only to name
+    an offender.  d(d(x)) = 0 is checked on construction.
     """
 
     def __init__(self, generators, boundaries):
-        self.generators = {q: tuple(gens) for q, gens in generators.items() if gens}
+        self.generators = {q: gens for q, gens in generators.items() if gens}
         self.boundaries = {
             q: {c: col for c, col in cols.items() if col}
             for q, cols in boundaries.items()
@@ -301,23 +302,28 @@ class ChainComplex:
         return sorted(self.generators)
 
     def _check_squares_to_zero(self):
+        """Each column of d_q is summed into one reused list over the
+        degree-(q-2) cells, then read back and reset over the same terms:
+        nonzero entries are reported in the order their rows were reached."""
         for q, cols in self.boundaries.items():
             lower = self.boundaries.get(q - 1)
             if not lower:
                 continue
-            get = lower.get
+            low = [()] * len(self.generators[q - 1])
+            for r, col in lower.items():
+                low[r] = tuple(col.items())
+            acc = [0] * len(self.generators[q - 2])
             for c, col in cols.items():
-                acc = {}
                 for r, v in col.items():
-                    low = get(r)
-                    if low is None:
-                        continue
-                    for r2, v2 in low.items():
-                        acc[r2] = acc.get(r2, 0) + v * v2
-                if any(acc.values()):
-                    surv = {
-                        self.generators[q - 2][r]: v for r, v in acc.items() if v
-                    }
+                    for r2, v2 in low[r]:
+                        acc[r2] += v * v2
+                surv = {}
+                for r in col:
+                    for r2, _ in low[r]:
+                        if acc[r2]:
+                            surv[self.generators[q - 2][r2]] = acc[r2]
+                            acc[r2] = 0
+                if surv:
                     raise BoundarySquareError(
                         "d(d(%r)) = %r is nonzero" % (self.generators[q][c], surv)
                     )
@@ -599,6 +605,7 @@ def _morse_complex(complex_):
         gens = generators.setdefault(len(cells[c]) - 1, [])
         position[c] = len(gens)
         gens.append(cells[c] or "*")
+    generators = {q: tuple(gens) for q, gens in generators.items()}
     critical_euler = sum((-1) ** (q % 2) * len(g) for q, g in generators.items())
     face_euler = complex_.euler_characteristic() - 1  # the augmentation cell
     if critical_euler != face_euler:

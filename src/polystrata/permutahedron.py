@@ -24,7 +24,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
 from .compositions import as_partition, c_lambda_poset, coarsening_poset
 from .homology import HomologyResult, simplicial_homology, sphere_homology
@@ -39,17 +38,21 @@ from .resonance import primitive_identities
 
 
 def ordered_set_partitions(t, min_blocks=1):
-    """Ordered set partitions of [t], as tuples of sorted element tuples."""
-    out = []
-    for s in range(min_blocks, t + 1):
-        for assign in product(range(s), repeat=t):
-            if set(assign) != set(range(s)):
-                continue
-            blocks = tuple(
-                tuple(i + 1 for i in range(t) if assign[i] == b) for b in range(s)
-            )
-            out.append(blocks)
-    return sorted(out, key=lambda p: (-len(p), p))
+    """Ordered set partitions of [t], as tuples of sorted element tuples.
+
+    Each ordered set partition of [x - 1] gives those of [x] once each:
+    element x joins one of its blocks or forms a new block in one of its gaps.
+    """
+    out = [()]
+    for x in range(1, t + 1):
+        grown = []
+        for blocks in out:
+            for k, block in enumerate(blocks):
+                grown.append(blocks[:k] + ((x,),) + blocks[k:])
+                grown.append(blocks[:k] + (block + (x,),) + blocks[k + 1 :])
+            grown.append(blocks + ((x,),))
+        out = grown
+    return sorted((p for p in out if len(p) >= min_blocks), key=lambda p: (-len(p), p))
 
 
 def merge_adjacent_blocks(blocks, i):

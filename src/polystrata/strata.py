@@ -11,7 +11,8 @@ Inside a closure a cell is keyed by one int, its boundary set: bit b is set
 iff b is 0, a partial sum or the weight m, so the empty cell is 1, m is the
 highest bit and t is one less than the number of bits.  A merge clears an
 inner bit; inserting a 2 at boundary b keeps the bits up to b and shifts the
-rest up by 2.  ``StratumCell`` labels the cells for export.
+rest up by 2.  ``StratumCell`` labels a cell, and a chain complex builds
+labels only when they are read.
 
 A closure is walked once, from the type's cells, and the walk records each
 cell's moves in a table, checking as it goes that every move drops the
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 from . import compositions as comps
 from .homology import ChainComplex, HomologyResult, InvariantError, chain_homology
@@ -89,31 +90,38 @@ def _dimension(key, n):
 
 
 def _faces(key, n, literal_parity=False):
-    """(target key, coefficient) for every move out of a cell, once each.
+    """Every move out of a cell, once each, walking the set bits of ``key``:
+    one flat tuple (target key, coefficient, target key, ...).
 
     Inserting a 2 just before a part 2 gives the same target as inserting it
     after that part, so only the last slot of each run is used; the new 2
-    then ends a run of L + 1 twos, L being the 2-parts that end at b.
+    then ends a run of L + 1 twos, L being the 2-parts that end at the bit.
     """
-    m = key.bit_length() - 1
-    bounds = [b for b in range(m + 1) if key >> b & 1]
-    twos = 0
-    for k, b in enumerate(bounds):  # k boundaries lie below b
-        twos = twos + 1 if k and b - bounds[k - 1] == 2 else 0
-        if 0 < b < m:
-            yield key ^ (1 << b), (-1) ** k
-        if m + 2 <= n and key >> b & 7 != 5:  # 5: a part 2 starts at b
-            target = (key & ((2 << b) - 1)) | ((key >> b) << (b + 2))
+    insert = key.bit_length() < n  # weight + 2 <= n
+    out = []
+    rest = key
+    below = k = twos = 0  # k boundaries lie below ``bit``
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        twos = twos + 1 if below << 2 == bit else 0
+        if k and rest:
+            out += key ^ bit, -1 if k & 1 else 1
+        if insert and key & 7 * bit != 5 * bit:  # 5: a part 2 starts here
             span = twos if literal_parity else twos + 1  # j2 - j1, or the run length
-            yield target, (-1) ** (k - twos) if span % 2 else 0
+            sign = -1 if (k - twos) & 1 else 1
+            out += (key & (2 * bit - 1)) | (key & -bit) << 2, sign if span & 1 else 0
+        below = bit
+        k += 1
+    return tuple(out)
 
 
 def _closure(partition, n):
     """The move table of the closure of the type's cells in degree n.
 
     Each cell key maps to its moves from ``_faces``, zero coefficients
-    included, flattened into one tuple (target, coefficient, target, ...):
-    a pair per move would cost a tuple object each.
+    included, as the flat tuple (target, coefficient, target, ...) that
+    ``_faces`` returns: a pair per move would cost a tuple object each.
     """
     partition = comps.as_partition(partition)
     l = sum(partition)
@@ -125,7 +133,7 @@ def _closure(partition, n):
     table = dict.fromkeys(frontier)
     while frontier:
         key = frontier.pop()
-        moves = table[key] = tuple(chain.from_iterable(_faces(key, n)))
+        moves = table[key] = _faces(key, n)
         low = key.bit_count() - key.bit_length() - 1  # dimension - 1 - n
         for target in moves[::2]:
             if target.bit_count() - target.bit_length() != low:
@@ -156,11 +164,8 @@ def boundary(cell, literal_parity=False):
     d(d(x)) = 0 and exists only for regression diagnostics.
     """
     n = cell.ambient
-    return {
-        StratumCell(_parts(target), n): v
-        for target, v in _faces(_key(cell.parts), n, literal_parity)
-        if v
-    }
+    moves = iter(_faces(_key(cell.parts), n, literal_parity))
+    return {StratumCell(_parts(target), n): v for target, v in zip(moves, moves) if v}
 
 
 def boundary_of_chain(chain, literal_parity=False):
@@ -172,16 +177,39 @@ def boundary_of_chain(chain, literal_parity=False):
     return {c: v for c, v in out.items() if v}
 
 
+_SWAP = str.maketrans("01", "10")
+
+
+def _parts_order(key):
+    """A sort key in composition order: from bit 0 up, 0 and 1 swapped, each
+    part a reads 0 and a - 1 ones, and the string ends in a 0."""
+    return bin(key)[:1:-1].translate(_SWAP)
+
+
+class _Cells(Sequence):
+    """One degree's generators: cell keys, labelled as ``StratumCell`` when read."""
+
+    def __init__(self, keys, n):
+        self._keys = keys
+        self._n = n
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        return StratumCell(_parts(self._keys[i]), self._n)
+
+
 def pol_chain_complex(partition, n):
     """Chain complex on the closure cells, graded by cell dimension.
 
-    The columns are read off the move table, each entry dropped once used;
-    the labels are built after them, so they never sit beside the full table.
+    The columns are read off the move table, each entry dropped once used.
+    Each degree's generators are its cell keys in composition order, and a
+    ``StratumCell`` label is built only when one is read.
     """
     table = _closure(partition, n)
-    parts = {key: _parts(key) for key in table}
     by_dim = {}
-    for key in sorted(parts, key=parts.get):
+    for key in sorted(table, key=_parts_order):
         by_dim.setdefault(_dimension(key, n), []).append(key)
     boundaries = {}
     for d, keys in by_dim.items():
@@ -194,10 +222,7 @@ def pol_chain_complex(partition, n):
                 cols[c] = col
         if cols:
             boundaries[d] = cols
-    generators = {
-        d: tuple(StratumCell(parts[key], n) for key in keys)
-        for d, keys in by_dim.items()
-    }
+    generators = {d: _Cells(keys, n) for d, keys in by_dim.items()}
     return ChainComplex(generators, boundaries)
 
 
@@ -209,13 +234,12 @@ def pol_homology(partition, n):
 def closure_poset(partition, n):
     """The closure cells ordered by boundary containment (for export)."""
     table = _closure(partition, n)
-    parts = {key: _parts(key) for key in table}
-    keys = sorted(parts, key=lambda k: (-_dimension(k, n), parts[k]))
+    keys = sorted(table, key=lambda k: (-_dimension(k, n), _parts_order(k)))
     index = {key: i for i, key in enumerate(keys)}
     covers = {
         (index[t], index[key]) for key, moves in table.items() for t in moves[::2]
     }
-    return Poset([StratumCell(parts[key], n) for key in keys], covers)
+    return Poset([StratumCell(_parts(key), n) for key in keys], covers)
 
 
 def _total_cell_count(n):

@@ -144,16 +144,12 @@ def chain_product_suite(n_range=(2, 6), d_range=(1, 3)):
     for n in range(n_range[0], n_range[1] + 1):
         for d in range(d_range[0], d_range[1] + 1):
             poset = iterated_poset(n, d)
-            chains = product_of_chains(n - 1, d + 1)
-            count_ok = len(poset) == (d + 1) ** (n - 1)
-            if len(poset) <= 81:
-                iso_ok = are_isomorphic(poset, chains) is not None
-            else:
-                # construction already verified the explicit merge-count map
-                iso_ok = len(chains) == len(poset)
-            cases.append(
-                Case("iterated n=%d d=%d" % (n, d), True, count_ok and iso_ok)
-            )
+            ok = len(poset) == (d + 1) ** (n - 1)
+            # a larger poset rests on the merge-count map its construction checked
+            if ok and len(poset) <= 81:
+                chains = product_of_chains(n - 1, d + 1)
+                ok = are_isomorphic(poset, chains) is not None
+            cases.append(Case("iterated n=%d d=%d" % (n, d), True, ok))
     return VerificationReport("chain-product", tuple(cases))
 
 

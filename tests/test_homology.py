@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -89,6 +90,51 @@ def random_complexes(seed, count=20):
             for _ in range(rng.randint(1, 8))
         ]
         yield SimplicialComplex.generated(vertices, facets)
+
+
+def oracle_check_squares_to_zero(generators, boundaries):
+    """Oracle: the d(d(x)) = 0 check with one dict accumulator per column."""
+    for q, cols in boundaries.items():
+        lower = boundaries.get(q - 1)
+        if not lower:
+            continue
+        for c, col in cols.items():
+            acc = {}
+            for r, v in col.items():
+                for r2, v2 in lower.get(r, {}).items():
+                    acc[r2] = acc.get(r2, 0) + v * v2
+            if any(acc.values()):
+                surv = {generators[q - 2][r]: v for r, v in acc.items() if v}
+                raise BoundarySquareError(
+                    "d(d(%r)) = %r is nonzero" % (generators[q][c], surv)
+                )
+
+
+def signed_scaled_chains(complex_, rng):
+    """The augmented chains of a simplicial complex with every face's sign
+    flipped and every degree's boundary scaled at random: a basis change and
+    scalars, so d(d(x)) = 0 still holds, with coefficients in -3..3."""
+    generators = {-1: ("*",)}
+    for face in sorted(complex_.faces):
+        generators.setdefault(len(face) - 1, []).append(face)
+    index = {f: i for gens in generators.values() for i, f in enumerate(gens)}
+    sign = {f: rng.choice((-1, 1)) for f in index}
+    boundaries = {}
+    for d, faces in generators.items():
+        if d < 0:
+            continue
+        scale = rng.choice((-3, -2, -1, 1, 2, 3))
+        boundaries[d] = {
+            c: {
+                index[f[:k] + f[k + 1 :] or "*"]: (-1) ** k
+                * scale
+                * sign[f]
+                * sign[f[:k] + f[k + 1 :] or "*"]
+                for k in range(len(f))
+            }
+            for c, f in enumerate(faces)
+        }
+    return generators, boundaries
 
 
 def facets_by_subset_scan(complex_):
@@ -311,6 +357,29 @@ class TestChainHomology:
         with pytest.raises(BoundarySquareError) as info:
             ChainComplex(generators, boundaries)
         assert str(info.value) == "d(d('d')) = {'a': 2} is nonzero"
+
+    def test_square_check_matches_dict_oracle(self):
+        # half the complexes get one entry changed, which may or may not
+        # leave d(d(x)) = 0; both checks must give the same verdict and message
+        rng = random.Random(5)
+        verdicts = Counter()
+        for simplicial in random_complexes(7, count=200):
+            generators, boundaries = signed_scaled_chains(simplicial, rng)
+            if rng.random() < 0.5:
+                q = rng.choice(sorted(boundaries))
+                col = boundaries[q][rng.randrange(len(generators[q]))]
+                r = rng.randrange(len(generators[q - 1]))
+                col[r] = rng.choice([v for v in range(-3, 4) if v != col.get(r, 0)])
+            messages = []
+            for check in (oracle_check_squares_to_zero, ChainComplex):
+                try:
+                    check(generators, boundaries)
+                    messages.append(None)
+                except BoundarySquareError as error:
+                    messages.append(str(error))
+            assert messages[0] == messages[1]
+            verdicts[messages[0] is None] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

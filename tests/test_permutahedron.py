@@ -16,6 +16,20 @@ from polystrata.permutahedron import (
 from polystrata.posets import order_complex, quotient_poset
 
 
+def ordered_set_partitions_oracle(t, min_blocks=1):
+    """Every assignment of [t] to s numbered blocks, kept when none is empty."""
+    out = []
+    for s in range(min_blocks, t + 1):
+        for assign in product(range(s), repeat=t):
+            if set(assign) != set(range(s)):
+                continue
+            blocks = tuple(
+                tuple(i + 1 for i in range(t) if assign[i] == b) for b in range(s)
+            )
+            out.append(blocks)
+    return sorted(out, key=lambda p: (-len(p), p))
+
+
 def young_generators_oracle(partition, poset):
     """Young-subgroup generators found by looking up each relabeled element."""
     t = len(partition)
@@ -66,6 +80,13 @@ class TestOrderedSetPartitions:
             elems = sorted(x for b in blocks for x in b)
             assert elems == [1, 2, 3]
             assert all(b == tuple(sorted(b)) for b in blocks)
+
+    @pytest.mark.parametrize("t", range(7))
+    def test_match_assignment_oracle(self, t):
+        for min_blocks in range(t + 2):
+            assert ordered_set_partitions(t, min_blocks) == (
+                ordered_set_partitions_oracle(t, min_blocks)
+            )
 
     def test_merge_adjacent_blocks(self):
         blocks = ((2,), (1, 3), (4,))

@@ -10,6 +10,7 @@ from polystrata.homology import (
     BoundarySquareError,
     HomologyResult,
     InvariantError,
+    chain_homology,
     sphere_homology,
 )
 from polystrata.strata import (
@@ -278,23 +279,41 @@ class TestAgainstOracle:
                     for low in oracle_moves(parts, n)
                 }
 
+    def test_parts_order_matches_parts(self):
+        # every boundary set below 2**14, sorted by its string and by its parts
+        keys = range(1, 2**14, 2)
+        assert sorted(keys, key=strata._parts_order) == sorted(keys, key=strata._parts)
+
     def test_one_label_per_cell(self, monkeypatch):
+        # no label to build and reduce the complex; one per cell once all are read
         built = []
         init = StratumCell.__post_init__
         monkeypatch.setattr(
             StratumCell, "__post_init__", lambda c: built.append(c) or init(c)
         )
         complex_ = pol_chain_complex((1, 1, 1, 1), 8)
-        assert len(built) == sum(map(len, complex_.generators.values()))
+        chain_homology(complex_)
+        assert built == []
+        cells = [cell for gens in complex_.generators.values() for cell in gens]
+        assert built == cells
+        assert len(cells) == sum(map(len, complex_.generators.values()))
 
     def test_move_out_of_the_closure_raises(self, monkeypatch):
         # a move that keeps the dimension has no row in degree d - 1
         faces = strata._faces
-        monkeypatch.setattr(
-            strata, "_faces", lambda key, n: [*faces(key, n), (key, 0)]
-        )
+        monkeypatch.setattr(strata, "_faces", lambda key, n: (*faces(key, n), key, 0))
         with pytest.raises(InvariantError, match="leaves the dimension"):
             pol_chain_complex((1, 2), 5)
+
+    def test_literal_parity_square_names_cells(self, monkeypatch):
+        faces = strata._faces
+        monkeypatch.setattr(strata, "_faces", lambda key, n: faces(key, n, True))
+        with pytest.raises(BoundarySquareError) as info:
+            pol_chain_complex((1, 1), 4)
+        assert str(info.value) == (
+            "d(d(StratumCell(parts=(1, 1), ambient=4)))"
+            " = {StratumCell(parts=(2, 2), ambient=4): -1} is nonzero"
+        )
 
 
 class TestHomology:
