@@ -9,7 +9,6 @@ independent pipelines against each other and against closed-form predictions.
 from .compositions import (
     c_lambda_poset,
     coarsening_poset,
-    compositions_of,
     compositions_of_type,
     closure_collapse_report,
     delta_lambda_complex,
@@ -27,18 +26,11 @@ from .homology import (
     suspension_shift,
 )
 from .hyperbolic import hook_prediction, hyp_homology, resonance_free_prediction
-from .iterated import IteratedComposition, c_lambda_d_poset, cell_contains, iterated_poset
+from .iterated import IteratedComposition, c_lambda_d_poset, iterated_poset
 from .permutahedron import (
     permutahedron_face_poset,
     quotient_report,
     young_subgroup_action,
-)
-from .polyspace import (
-    FactoredPolynomial,
-    MonicPolynomial,
-    affine_normalize,
-    cell_of,
-    stabilize,
 )
 from .posets import (
     GroupAction,

@@ -1,4 +1,4 @@
-"""Command-line surface: compute homology, run verification suites, export.
+"""Command-line surface: compute homology, run verification suites, tabulate, export.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 internal
 invariant failure.  All regular output goes to standard output, diagnostics
@@ -19,13 +19,13 @@ from .compositions import (
     parse_parts,
 )
 from .homology import InvariantError, simplicial_homology
-from .hyperbolic import BackendDisagreement, hyp_homology
+from .hyperbolic import BackendDisagreement, hyp_homology, resonance_free_prediction
 from .iterated import iterated_poset
 from .permutahedron import permutahedron_face_poset
-from .polyspace import PolynomialError
 from .posets import PosetError, face_poset, order_complex
-from .strata import StratumError, closure_poset, pol_homology
-from .verify import SUITES
+from .resonance import primitive_identities
+from .strata import StratumError, closure_poset, pol_homology, stabilization_report
+from .verify import SUITES, partitions_of
 
 INVALID_INPUT = 2
 INVARIANT_FAILURE = 3
@@ -38,7 +38,7 @@ def _guard(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except (ValueError, PolynomialError, StratumError) as exc:
+        except (ValueError, StratumError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(INVALID_INPUT)
         except (InvariantError, BackendDisagreement, PosetError) as exc:
@@ -77,15 +77,12 @@ format_option = click.option(
 )
 lambda_option = click.option("--lambda", "parts", required=True, help="comma-separated parts")
 quiet_option = click.option("--quiet", is_flag=True, default=False)
+backends = click.Choice(["cells", "order-complex", "delta", "all"])
 
 
 @main.command()
 @lambda_option
-@click.option(
-    "--backend",
-    type=click.Choice(["cells", "order-complex", "delta", "all"]),
-    default="all",
-)
+@click.option("--backend", type=backends, default="all")
 @format_option
 @_guard
 def hyp(parts, backend, fmt):
@@ -139,7 +136,7 @@ def delta(parts, fmt):
 @quiet_option
 @_guard
 def verify(suite, n_range, k_range, l_max, n_max, max_weight, fmt, quiet):
-    """Run a named verification suite; exit 1 on any mismatch."""
+    """Run a named verification suite; exit 1 on any mismatch, 2 on no case."""
     kwargs = {}
     if suite == "hook":
         if n_range:
@@ -157,12 +154,85 @@ def verify(suite, n_range, k_range, l_max, n_max, max_weight, fmt, quiet):
     elif suite in ("resonance-free", "prop-3-7") and max_weight is not None:
         kwargs["max_weight"] = max_weight
     report = SUITES[suite](**kwargs)
+    if not report.cases:
+        raise ValueError("no %s case in the given range" % suite)
     if fmt == "json":
         click.echo(report.to_json())
     elif not quiet:
         click.echo(report.to_text())
     if not report.passed:
         sys.exit(1)
+
+
+@main.command()
+@click.option("--max-weight", type=int, default=9)
+@click.option("--backend", type=backends, default="cells")
+@_guard
+def table(max_weight, backend):
+    """Homology of every type up to a weight, with the closed-form predictions."""
+    row = "%-18s %-10s %-28s %s"
+    click.echo(row % ("lambda", "resonance", "homology", "prediction"))
+    for n in range(1, max_weight + 1):
+        for partition in partitions_of(n):
+            homology = hyp_homology(partition, None if backend == "all" else backend)
+            prediction = resonance_free_prediction(partition)
+            free = prediction.kind != "none"
+            note = ""
+            if free:
+                verdict = "ok" if prediction.matches(homology) else "MISMATCH"
+                note = "%s (%s)" % (verdict, prediction.source)
+            click.echo(row % (partition, "free" if free else "resonant", homology, note))
+
+
+@main.command()
+@lambda_option
+@click.option("--n-min", type=int, default=None, help="default: the weight")
+@click.option("--n-max", type=int, default=9)
+@click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
+@_guard
+def stabilization(parts, n_min, n_max, fmt):
+    """Complement cohomology of a type in ambient degrees n_min, n_min+2, ..., n_max.
+
+    Flags the first degree where consecutive tables differ.
+    """
+    partition = tuple(sorted(parse_parts(parts)))
+    report = stabilization_report(
+        partition, sum(partition) if n_min is None else n_min, n_max
+    )
+    if fmt == "csv":
+        click.echo(report.to_csv(), nl=False)
+        return
+    click.echo("lambda = %s" % (partition,))
+    for n, groups in zip(report.ambients, report.tables):
+        click.echo("  n = %d: %s" % (n, groups))
+    pairs = zip(report.ambients, report.ambients[1:])
+    for (a, b), degree in zip(pairs, report.first_unstable):
+        if degree is None:
+            click.echo("  n=%d vs n=%d: tables agree everywhere" % (a, b))
+        else:
+            click.echo("  n=%d vs n=%d: first difference in degree %d" % (a, b, degree))
+
+
+@main.command()
+@click.option("--max-weight", type=int, default=12)
+@click.option("--list-identities", is_flag=True, default=False)
+@_guard
+def census(max_weight, list_identities):
+    """Per weight, count the types free of resonances and the resonant ones."""
+    for n in range(1, max_weight + 1):
+        types = partitions_of(n)
+        resonant = [(p, ids) for p in types if (ids := primitive_identities(p))]
+        click.echo(
+            "weight %2d: %3d types, %3d free, %3d resonant"
+            % (n, len(types), len(types) - len(resonant), len(resonant))
+        )
+        if list_identities:
+            for partition, identities in resonant:
+                pretty = ", ".join(
+                    " = ".join("+".join(str(partition[i - 1]) for i in side) for side in pair)
+                    for pair in identities
+                )
+                click.echo("    %s: %s" % (partition, pretty))
 
 
 @main.command()

@@ -131,11 +131,6 @@ def coarsenings(parts):
     ]
 
 
-def compositions_of(n):
-    """All 2^(n-1) compositions of n: the coarsenings of (1, ..., 1)."""
-    return coarsenings((1,) * n)
-
-
 def compositions_of_type(partition):
     """Distinct orderings of the part multiset, lexicographically."""
     partition = as_partition(partition)

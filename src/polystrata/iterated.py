@@ -9,9 +9,9 @@ chains of d + 1 elements; the poset therefore has (d+1)^(n-1) elements.
 Cells of configurations of n points in d-space are indexed by iterated
 compositions: positions merged at level s force equal s-th coordinates, and
 consecutive points split at level s but joined at level s - 1 (level 0 joins
-everything) are weakly ordered in the s-th coordinate.  Only the poset,
-dimensions and membership tests live here; boundary maps of these cells for
-d >= 2 are out of scope.
+everything) are weakly ordered in the s-th coordinate.  Only the poset and
+dimensions live here; boundary maps of these cells for d >= 2 are out of
+scope.
 
 ``iterated_poset`` enumerates the merge-count codes once, in base d + 1, and
 builds each element's levels straight from its code; an up-cover adds one
@@ -132,47 +132,6 @@ def iterated_poset(n, d):
     if not check_isomorphism(poset, chains, {e: e.merge_counts() for e in elements}):
         raise InvariantError("merge counts do not map onto the product of chains")
     return poset
-
-
-def _blocks(comp):
-    """Interval blocks of [n] cut by a composition of n."""
-    out, start = [], 1
-    for a in comp:
-        out.append(tuple(range(start, start + a)))
-        start += a
-    return out
-
-
-def cell_contains(pi, config):
-    """Ordered membership of a point configuration in the cell of ``pi``.
-
-    ``config`` is a sequence of n points, each a d-tuple of exact numbers, in
-    the order matching the block structure.  Positions sharing a block at
-    level s must agree in coordinate s; pairs split at level s but joined at
-    level s - 1 (level 0 is a single block) must be weakly increasing there.
-    """
-    n, d = pi.ambient, pi.degree
-    config = [tuple(x) for x in config]
-    if len(config) != n or any(len(x) != d for x in config):
-        raise ValueError("need %d points with %d coordinates each" % (n, d))
-    block_of = []  # per level s (0 = the single block), block index per point
-    block_of.append([0] * n)
-    for comp in pi.compositions:
-        assign = [None] * n
-        for b, block in enumerate(_blocks(comp)):
-            for i in block:
-                assign[i - 1] = b
-        block_of.append(assign)
-    for s in range(1, d + 1):
-        for i in range(n):
-            for j in range(i + 1, n):
-                same = block_of[s][i] == block_of[s][j]
-                if same and config[i][s - 1] != config[j][s - 1]:
-                    return False
-                joined_below = block_of[s - 1][i] == block_of[s - 1][j]
-                if not same and joined_below and not config[i][s - 1] <= config[j][s - 1]:
-                    return False
-    return True
 
 
 def c_lambda_d_poset(partition, d):

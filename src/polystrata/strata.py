@@ -278,7 +278,6 @@ class StabilizationReport:
     ambients: tuple
     tables: tuple  # HomologyResult per ambient
     first_unstable: tuple  # per consecutive pair: lowest differing degree or None
-    union_poset: Poset
 
     def to_csv(self):
         buf = io.StringIO()
@@ -317,10 +316,4 @@ def stabilization_report(partition, n_min, n_max):
                 diff = q
                 break
         unstable.append(diff)
-    return StabilizationReport(
-        partition,
-        ambients,
-        tables,
-        tuple(unstable),
-        closure_poset(partition, ambients[-1]),
-    )
+    return StabilizationReport(partition, ambients, tables, tuple(unstable))

@@ -4,8 +4,12 @@ Each test prints a single pass/fail line for its criterion before asserting,
 so a full run yields a ten-line scorecard.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import polystrata
 from polystrata.compositions import closure_collapse_report
 from polystrata.hyperbolic import hyp_homology
 from polystrata.strata import complement_cohomology, pol_homology
@@ -167,6 +171,21 @@ def test_complement_stabilization():
     assert record(
         10, "complement tables stable below n - d_A", not bad, "; ".join(bad)
     )
+
+
+def test_source_stays_exact():
+    # no float constant, no load of the builtin float and no true division
+    bad = []
+    for path in sorted(Path(polystrata.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Constant) and isinstance(node.value, float)
+                or isinstance(node, ast.Name) and node.id == "float"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(getattr(node, "op", None), ast.Div)
+            ):
+                bad.append("%s:%d" % (path.name, node.lineno))
+    assert not bad, bad
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -139,6 +139,110 @@ class TestVerify:
         result = runner.invoke(cli.main, ["verify", "nope"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["hook", "--n", "5..2"],
+            ["hook", "--k", "13..14"],
+            ["resonance-free", "--max-weight", "0"],
+            ["prop-3-11", "--n", "4..3"],
+        ],
+    )
+    def test_no_cases_exit_2(self, runner, args):
+        result = runner.invoke(cli.main, ["verify", *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: no ")
+
+
+class TestTables:
+    def test_table(self, runner):
+        result = runner.invoke(cli.main, ["table", "--max-weight", "4"])
+        lines = result.output.splitlines()
+        # a header, then one row per type of weight 1..4
+        assert lines[0].split() == ["lambda", "resonance", "homology", "prediction"]
+        assert len(lines) == 1 + 1 + 2 + 3 + 5
+        assert not any("MISMATCH" in line for line in lines)
+
+    def test_census(self, runner):
+        result = runner.invoke(
+            cli.main, ["census", "--max-weight", "6", "--list-identities"]
+        )
+        lines = result.output.splitlines()
+        weights = [line for line in lines if line.startswith("weight")]
+        assert len(weights) == 6
+        assert "weight  6:  11 types" in weights[-1]
+        assert any("1+2 = 3" in line for line in lines)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_stabilization(self, runner, fmt):
+        args = ["stabilization", "--lambda", "1,2", "--n-max", "7", "--format", fmt]
+        lines = runner.invoke(cli.main, args).output.splitlines()
+        if fmt == "csv":
+            assert lines[0] == "n,degree,betti,torsion"
+            assert {line.split(",")[0] for line in lines[1:]} == {"3", "5", "7"}
+        else:
+            assert lines[0] == "lambda = (1, 2)"
+            assert [line.split(":")[0].strip() for line in lines[1:4]] == [
+                "n = 3",
+                "n = 5",
+                "n = 7",
+            ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--lambda", "x"],
+            ["--lambda", "1,2", "--n-min", "4"],
+            ["--lambda", "1,2,9", "--n-max", "9"],
+        ],
+        ids=["parts", "parity", "empty"],
+    )
+    def test_stabilization_bad_input_exit_2(self, runner, args):
+        result = runner.invoke(cli.main, ["stabilization", *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
+                ["table", "--max-weight", "7"],
+                "86e867fd09f4762be6cd2258b5a8bee868ba07d57603d484b939220b8ae33444",
+            ),
+            (
+                ["table", "--max-weight", "4"],
+                "d2e8cae29535b019997d45ebec6c66387cb42add2cb0c12cbebd39ef83d307ca",
+            ),
+            (
+                # taken with the index-level brute force that
+                # primitive_identities replaced
+                ["census", "--list-identities"],
+                "8152a99337c1754511ffb85ac4a854fdd1f516796efe96ed94f4e76e74407c02",
+            ),
+            (
+                ["census"],
+                "407a6a47ed8d95b94a375523e0fd4c1d2879ecf024f124cbcec1788b481dccce",
+            ),
+            (
+                ["stabilization", "--lambda", "1,2", "--n-max", "9"],
+                "4c545cbc60e3c447b44c5e8faf7645b65749d10031333ab0c2813ecf641d81d9",
+            ),
+            (
+                # csv.writer ends rows with \r\n, so hash the raw bytes
+                ["stabilization", "--lambda", "1,2", "--n-max", "9", "--format", "csv"],
+                "68858d225a1eec899def7d45ee92662f7c57c09712e157c85b5e38e61f2bb2fa",
+            ),
+            (
+                ["stabilization", "--lambda", "3", "--n-max", "7"],
+                "bc102bb63e42bb978108133735c25e8b57141cec96266b049e37f026a84ec9f4",
+            ),
+        ],
+    )
+    def test_golden_digest(self, runner, args, digest):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
 
 class TestExport:
     def test_clambda_dot(self, runner):

@@ -10,7 +10,6 @@ from polystrata.compositions import c_lambda_poset, merged_set, positions
 from polystrata.iterated import (
     IteratedComposition,
     c_lambda_d_poset,
-    cell_contains,
     from_merge_counts,
     iterated_poset,
 )
@@ -123,47 +122,6 @@ class TestIteratedPoset:
             cb = poset.elements[b].merge_counts()
             diffs = [y - x for x, y in zip(ca, cb)]
             assert sorted(diffs) == [0, 1]
-
-
-class TestCellMembership:
-    def test_shape_validation(self):
-        pi = IteratedComposition(2, ((1,),))
-        with pytest.raises(ValueError):
-            cell_contains(pi, [(0,)])
-
-    def test_fully_merged_cell(self):
-        # both points share every coordinate
-        pi = IteratedComposition(2, ((1,), (1,)))
-        assert cell_contains(pi, [(0, 3), (0, 3)])
-        assert not cell_contains(pi, [(0, 3), (0, 4)])
-
-    def test_finest_cell_orders_first_coordinate(self):
-        # nothing merged: the first coordinates must be weakly increasing
-        pi = IteratedComposition(2, ((), ()))
-        assert cell_contains(pi, [(0, 9), (1, -5)])
-        assert not cell_contains(pi, [(1, 0), (0, 0)])
-
-    def test_split_then_merged_above(self):
-        # split at level 1, merged at level 2: x weakly increasing, y equal
-        pi = IteratedComposition(2, ((), (1,)))
-        assert cell_contains(pi, [(0, 1), (1, 1)])
-        assert not cell_contains(pi, [(1, 1), (0, 1)])
-        assert not cell_contains(pi, [(0, 1), (1, 2)])
-
-    def test_no_constraint_across_unrelated_pairs(self):
-        # split already at level 1: level-2 coordinates are unconstrained
-        pi = IteratedComposition(2, ((), ()))
-        assert cell_contains(pi, [(0, 9), (1, -9)])
-
-    def test_exact_arithmetic(self):
-        pi = IteratedComposition(2, ((), (1,)))
-        third = Fraction(1, 3)
-        assert cell_contains(pi, [(0, third), (1, third)])
-
-    def test_boundary_inclusion(self):
-        # equality is allowed on the weak inequalities
-        pi = IteratedComposition(2, ((), ()))
-        assert cell_contains(pi, [(0, 0), (0, 0)])
 
 
 class TestCLambdaD:

@@ -426,7 +426,3 @@ class TestStabilization:
             stabilization_report((2,), 3, 7)
         with pytest.raises(StratumError):
             stabilization_report((2,), 4, 2)
-
-    def test_union_poset_uses_largest_ambient(self):
-        report = stabilization_report((3,), 3, 7)
-        assert all(c.ambient == 7 for c in report.union_poset.elements)
