@@ -125,6 +125,17 @@ def delta(parts, fmt):
     _render_homology(result, fmt)
 
 
+# per suite, the options it reads and the keyword argument each one sets
+SUITE_OPTIONS = {
+    "hook": {"--n": "n_range", "--k": "k_range"},
+    "resonance-free": {"--max-weight": "max_weight"},
+    "prop-3-7": {"--max-weight": "max_weight"},
+    "prop-3-11": {"--n": "n_range"},
+    "paper-table": {},
+    "d-squared": {"--l": "max_weight", "--n-max": "max_ambient"},
+}
+
+
 @main.command()
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
 @click.option("--n", "n_range", default=None, help="range a..b")
@@ -136,23 +147,26 @@ def delta(parts, fmt):
 @quiet_option
 @_guard
 def verify(suite, n_range, k_range, l_max, n_max, max_weight, fmt, quiet):
-    """Run a named verification suite; exit 1 on any mismatch, 2 on no case."""
-    kwargs = {}
-    if suite == "hook":
-        if n_range:
-            kwargs["n_range"] = _parse_range(n_range)
-        if k_range:
-            kwargs["k_range"] = _parse_range(k_range)
-    elif suite == "prop-3-11":
-        if n_range:
-            kwargs["n_range"] = _parse_range(n_range)
-    elif suite == "d-squared":
-        if l_max is not None:
-            kwargs["max_weight"] = l_max
-        if n_max is not None:
-            kwargs["max_ambient"] = n_max
-    elif suite in ("resonance-free", "prop-3-7") and max_weight is not None:
-        kwargs["max_weight"] = max_weight
+    """Run a named verification suite; exit 1 on any mismatch, 2 on no case.
+
+    An option that the suite does not read is refused with exit 2.
+    """
+    given = {
+        "--n": n_range,
+        "--k": k_range,
+        "--l": l_max,
+        "--n-max": n_max,
+        "--max-weight": max_weight,
+    }
+    reads = SUITE_OPTIONS[suite]
+    given = {option: value for option, value in given.items() if value is not None}
+    ignored = [option for option in given if option not in reads]
+    if ignored:
+        raise ValueError("suite %s does not read %s" % (suite, ", ".join(ignored)))
+    kwargs = {
+        reads[option]: _parse_range(value) if isinstance(value, str) else value
+        for option, value in given.items()
+    }
     report = SUITES[suite](**kwargs)
     if not report.cases:
         raise ValueError("no %s case in the given range" % suite)

@@ -1,16 +1,16 @@
 """Exact integral homology of simplicial complexes and graded chain complexes.
 
-Everything runs over arbitrary-precision Python integers.  Invariant factors
-come from a sparse elimination that peels off unit pivots before falling back
-to a dense Smith reduction on whatever small core remains.  Chain complexes
-are reduced degree by degree, so a cell paired by a unit pivot in one degree
-never enters the next boundary matrix.  A simplicial complex is first
-replaced by the Morse complex of a coreduction matching, which is chain
-equivalent to its augmented chains and usually has a few dozen cells where
-the complex has hundreds of thousands of faces.  Its face table, each face
-with the indices of its facets, is built by one routine from faces fed level
-by level as (parent face, new last vertex) pairs, so facets are found under
-integer keys; an order complex feeds its chains to it as they are enumerated.
+Everything runs over arbitrary-precision Python integers.  One coreduction
+reduces every complex: it pairs a cell with its only remaining facet when
+that coefficient is +-1, and the critical cells it leaves form a Morse
+complex, chain equivalent to the input and usually a few dozen cells where
+the input has thousands or hundreds of thousands.  A graded chain complex
+feeds it its columns; a simplicial complex feeds it its augmented chains
+from a face table, each face with the indices of its facets, built by one
+routine from faces fed level by level as (parent face, new last vertex)
+pairs, so facets are found under integer keys; an order complex feeds its
+chains to it as they are enumerated.  A dense Smith reduction of the
+critical cells' boundaries gives the invariant factors.
 
 All homology here uses the reduced convention.  The empty complex has a single
 reduced homology group Z in degree -1; a point has none.
@@ -19,6 +19,7 @@ reduced homology group Z in degree -1; a point has none.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -44,78 +45,9 @@ def smith_normal_form(matrix):
     """Invariant factors d1 | d2 | ... | dr of an integer matrix.
 
     ``matrix`` is a sequence of rows.  Returns a tuple of positive integers
-    forming a divisibility chain; the zero matrix yields ().
+    forming a divisibility chain, which is checked; the zero matrix yields ().
     """
-    rows = {}
-    cols = {}
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v:
-                rows.setdefault(i, {})[j] = v
-                cols.setdefault(j, set()).add(i)
-    return _invariant_factors(len(_unit_pivots(rows, cols)), rows, cols)
-
-
-def _sparse_eliminate(rows, cols, pi, pj):
-    """Eliminate with the unit pivot at (pi, pj); removes its row and column."""
-    s = rows[pi][pj]  # +-1, its own inverse
-    prow = rows.pop(pi)
-    for j in prow:
-        cols[j].discard(pi)
-    for i in list(cols.get(pj, ())):
-        row = rows[i]
-        factor = row[pj] * s
-        for j, v in prow.items():
-            nv = row.get(j, 0) - factor * v
-            if nv:
-                row[j] = nv
-                cols[j].add(i)
-            elif j in row:
-                del row[j]
-                cols[j].discard(i)
-        if not row:
-            del rows[i]
-    cols.pop(pj, None)
-
-
-def _unit_pivots(rows, cols):
-    """Eliminate unit pivots until none is left; returns the (row, column) pairs.
-
-    ``rows`` and ``cols`` are reduced in place to the residual matrix.
-    """
-    pairs = []
-    progress = True
-    while progress:
-        progress = False
-        for i in list(rows):
-            row = rows.get(i)
-            if not row:
-                rows.pop(i, None)
-                continue
-            best = None
-            for j, v in row.items():
-                if v == 1 or v == -1:
-                    if best is None or len(cols[j]) < len(cols[best]):
-                        best = j
-            if best is not None:
-                _sparse_eliminate(rows, cols, i, best)
-                pairs.append((i, best))
-                progress = True
-    return pairs
-
-
-def _invariant_factors(units, rows, cols):
-    """``units`` ones, then the dense Smith factors of a residual, checked."""
-    factors = [1] * units
-    if rows:
-        col_index = {j: k for k, j in enumerate(sorted(cols))}
-        dense = []
-        for i in sorted(rows):
-            r = [0] * len(col_index)
-            for j, v in rows[i].items():
-                r[col_index[j]] = v
-            dense.append(r)
-        factors.extend(_dense_snf(dense))
+    factors = _dense_snf([list(row) for row in matrix])
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise InvariantError(
@@ -329,52 +261,131 @@ class ChainComplex:
                     )
 
 
-def chain_homology(complex_):
-    """Exact homology of a ChainComplex, reduced degree by degree.
+def _coreduce(facets, coefficients):
+    """The critical cells of a coreduction matching and their Morse boundaries.
 
-    The degrees are walked upwards.  Each unit pivot of d_q pairs a
-    degree-(q-1) cell with a degree-q cell, and both drop out without
-    changing the homology: the upper cell's row of d_{q+1} is zero after the
-    basis change, so it is never built, and the lower cell's column of the
-    d_{q-1} residual is then zero too, so it is deleted before that
-    residual's dense Smith reduction.  Only d_q and the d_{q-1} residual are
-    held at a time.
+    Cells are numbered in degree order: ``facets[c]`` lists the indices of
+    cell c's facets, all below c, and ``coefficients[c]`` their boundary
+    coefficients in the same order.  The queue starts with every cell that
+    has exactly one facet, in index order.  While a queued live cell has
+    exactly one live facet and its coefficient is +-1, the two are paired;
+    otherwise the lowest live cell, all of whose facets are gone, is
+    critical.  Removal order makes the matching acyclic (Mrozek & Batko,
+    *Coreduction homology algorithm*, 2009).
 
-    Betti_q = dim ker d_q - rank d_{q+1}; torsion_q = invariant factors of
-    d_{q+1} exceeding 1.  The Euler characteristics of generators and of the
-    answer are cross-checked.
+    Boundaries come from the flow of each removed cell onto the critical
+    cells, memoised in removal order (Harker, Mischaikow, Mrozek & Nanda,
+    FoCM 2014).  A critical cell flows to itself and an upper cell to 0.  The
+    lower cell t of a pair (t, s) flows to -[ds:t] times the sum of
+    [ds:r] * flow(r) over the other facets r of s, all removed before t.  A
+    critical cell's boundary is the sum of [dc:r] * flow(r) over its facets.
+    Returns {critical cell: its boundary {critical cell: coefficient}}, in
+    index order.
     """
-    factors = {}
-    upper = set()  # degree-(q-1) cells paired by d_{q-1}
-    below = None  # q - 1, the pair count of d_{q-1} and its residual
-    for q in complex_.degrees():
-        rows, cols = {}, {}
+    n = len(facets)
+    cofaces = [[] for _ in range(n)]
+    for c, fs in enumerate(facets):
+        for f in fs:
+            cofaces[f].append(c)
+    live = bytearray(b"\x01") * n
+    count = list(map(len, facets))  # live facets
+    flow = {}  # nonzero flows only: cell -> {critical cell: coefficient}
+    boundary = {}
+    queue = deque([c for c, k in enumerate(count) if k == 1])
+    popleft, append = queue.popleft, queue.append
+
+    def facet_flow(c, scale):
+        # a live facet has no flow yet, so the paired one adds nothing
+        acc = {}
+        cs = coefficients[c]
+        for k, f in enumerate(facets[c]):
+            if f in flow:
+                v = scale * cs[k]
+                for x, w in flow[f].items():
+                    acc[x] = acc.get(x, 0) + v * w
+        return {x: v for x, v in acc.items() if v}
+
+    lowest = 0
+    while True:
+        if queue:
+            s = popleft()
+            if count[s] != 1 or not live[s]:
+                continue
+            fs = facets[s]
+            k = 0
+            while not live[fs[k]]:
+                k += 1
+            e = coefficients[s][k]
+            if e != 1 and e != -1:
+                continue
+            if flow:  # every flow is 0 until a cell is critical
+                down = facet_flow(s, -e)
+                if down:
+                    flow[fs[k]] = down
+            removed = fs[k], s
+        else:
+            while lowest < n and not live[lowest]:
+                lowest += 1
+            if lowest == n:
+                break
+            boundary[lowest] = facet_flow(lowest, 1)
+            flow[lowest] = {lowest: 1}
+            removed = (lowest,)
+        for c in removed:
+            live[c] = 0
+            for up in cofaces[c]:
+                count[up] -= 1
+                if count[up] == 1:
+                    append(up)
+    return boundary
+
+
+def chain_homology(complex_):
+    """Exact homology of a ChainComplex, on the Morse complex of a coreduction.
+
+    The degrees' cells are numbered one after another, each with its column
+    as facets and coefficients, and ``_coreduce`` pairs cells along unit
+    coefficients.  Each degree's boundary between the critical cells then
+    goes through the dense Smith reduction, whose factors are checked to be
+    a divisibility chain.
+
+    Betti_q = critical cells in degree q - rank d_q - rank d_{q+1};
+    torsion_q = invariant factors of d_{q+1} exceeding 1.  The Euler
+    characteristics of the generators and of the answer are cross-checked.
+    """
+    degrees = complex_.degrees()
+    facets, coefficients, starts = [], [], []
+    for q in degrees:
+        low = starts[-1] if q - 1 in complex_.generators else 0
+        size = len(complex_.generators[q])
+        fs, cs = [()] * size, [()] * size
         for c, col in complex_.boundaries.get(q, {}).items():
-            for r, v in col.items():
-                if r not in upper:
-                    rows.setdefault(r, {})[c] = v
-                    cols.setdefault(c, set()).add(r)
-        pairs = _unit_pivots(rows, cols)
-        if below:
-            low, units, low_rows, low_cols = below
-            for b, _ in pairs:
-                for i in low_cols.pop(b, ()):
-                    del low_rows[i][b]
-                    if not low_rows[i]:
-                        del low_rows[i]
-            factors[low] = _invariant_factors(units, low_rows, low_cols)
-        below = (q, len(pairs), rows, cols)
-        upper = {a for _, a in pairs}
-    if below:
-        factors[below[0]] = _invariant_factors(*below[1:])
+            fs[c] = [r + low for r in col]
+            cs[c] = tuple(col.values())
+        starts.append(len(facets))
+        facets += fs
+        coefficients += cs
+    boundary = _coreduce(facets, coefficients)
+    critical = {q: [] for q in degrees}
+    position = {}
+    for c in boundary:
+        cells = critical[degrees[bisect_right(starts, c) - 1]]
+        position[c] = len(cells)
+        cells.append(c)
+    factors = {}
+    for q, cells in critical.items():
+        rows = critical.get(q - 1)
+        if cells and rows:
+            matrix = [[0] * len(cells) for _ in rows]
+            for j, c in enumerate(cells):
+                for r, v in boundary[c].items():
+                    matrix[position[r]][j] = v
+            factors[q] = smith_normal_form(matrix)
     groups = {}
-    for q in complex_.degrees():
-        n_q = len(complex_.generators[q])
-        rank_q = len(factors.get(q, ()))
-        rank_up = len(factors.get(q + 1, ()))
-        betti = n_q - rank_q - rank_up
-        torsion = tuple(d for d in factors.get(q + 1, ()) if d > 1)
-        groups[q] = (betti, torsion)
+    for q, cells in critical.items():
+        up = factors.get(q + 1, ())
+        betti = len(cells) - len(factors.get(q, ())) - len(up)
+        groups[q] = (betti, tuple(d for d in up if d > 1))
     result = HomologyResult.of(groups)
     sign = lambda q: -1 if q % 2 else 1
     euler_cells = sum(
@@ -529,76 +540,23 @@ class SimplicialComplex:
 def _morse_complex(complex_):
     """The Morse complex of a coreduction matching on the augmented chains.
 
-    Cells, ``()`` and then the faces level by level, and their signed facets
-    come from the complex's face table.  The augmentation cell is paired with
-    a vertex; then, while a live cell has exactly one live facet, the two are
-    paired; otherwise the lowest-dimensional live cell, all of whose facets
-    are gone, is critical.  Removal order makes the matching acyclic (Mrozek
-    & Batko, *Coreduction homology algorithm*, 2009).  The matching depends
-    on cell order: in the table's chain-enumeration order, 45 of the 509,428
-    faces of the order complex of C_λ for (1,2,3,4,5,6) stay critical, where
-    an arbitrary order within each dimension left 83.
-
-    Boundaries come from the flow of each removed cell onto the critical
-    cells, memoised in removal order (Harker, Mischaikow, Mrozek & Nanda,
-    FoCM 2014).  A critical cell flows to itself and an upper cell to 0.  The
-    lower cell t of a pair (t, s) flows to -[ds:t] times the sum of
-    [ds:r] * flow(r) over the other facets r of s, all removed before t.  A
-    critical cell's boundary is the signed sum of its facets' flows.  The
-    critical cells' Euler characteristic is checked against the faces'.
+    Cells, ``()`` and then the faces level by level, and their facets come
+    from the complex's face table; the coefficients of a face's facets are
+    one shared alternating-sign tuple per face size, each level's cells
+    found by bisection on face size.  ``_coreduce`` first pairs the
+    augmentation cell with the first vertex, and the matching depends on cell
+    order: in the table's chain-enumeration order, 45 of the 509,428 faces of
+    the order complex of C_λ for (1,2,3,4,5,6) stay critical, where an
+    arbitrary order within each dimension left 83.  The critical cells' Euler
+    characteristic is checked against the faces'.
     """
     cells, facets = complex_._table
-    n = len(cells)
-    cofaces = [[] for _ in range(n)]
-    for c, fs in enumerate(facets):
-        for f in fs:
-            cofaces[f].append(c)
-    live = bytearray(b"\x01") * n
-    count = list(map(len, facets))  # live facets
-    flow = {}  # nonzero flows only: cell -> {critical cell: coefficient}
-    boundary = {}  # critical cell -> its Morse boundary
-    queue = deque()
-
-    def remove(*removed):
-        for c in removed:
-            live[c] = 0
-            for up in cofaces[c]:
-                count[up] -= 1
-                if count[up] == 1:
-                    queue.append(up)
-
-    def facet_flow(fs, skip, sign):
-        acc = {}
-        for k, f in enumerate(fs):
-            if k != skip and f in flow:
-                coeff = -sign if k & 1 else sign
-                for x, v in flow[f].items():
-                    acc[x] = acc.get(x, 0) + coeff * v
-        return {x: v for x, v in acc.items() if v}
-
-    if n > 1:
-        remove(0, 1)  # the augmentation cell and the first vertex
-    lowest = 0
-    while True:
-        while queue:
-            s = queue.popleft()
-            if count[s] != 1 or not live[s]:
-                continue
-            fs = facets[s]
-            k = 0
-            while not live[fs[k]]:
-                k += 1
-            down = facet_flow(fs, k, 1 if k & 1 else -1)
-            if down:
-                flow[fs[k]] = down
-            remove(fs[k], s)
-        while lowest < n and not live[lowest]:
-            lowest += 1
-        if lowest == n:
-            break
-        boundary[lowest] = facet_flow(facets[lowest], -1, 1)
-        flow[lowest] = {lowest: 1}
-        remove(lowest)
+    coefficients = []
+    for size in range(len(cells[-1]) + 1):
+        signs = tuple(-1 if k & 1 else 1 for k in range(size))
+        level_end = bisect_right(cells, size, key=len)
+        coefficients += [signs] * (level_end - len(coefficients))
+    boundary = _coreduce(facets, coefficients)
     generators = {}
     position = {}
     for c in boundary:

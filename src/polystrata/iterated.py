@@ -29,7 +29,6 @@ from operator import index
 
 from .compositions import (
     as_partition,
-    composition_from_merged_set,
     positions,
     type_merged_sets,
     union_closure,
@@ -62,13 +61,6 @@ class IteratedComposition:
     @property
     def degree(self):
         return len(self.levels)
-
-    @property
-    def compositions(self):
-        return tuple(
-            composition_from_merged_set(self.ambient, sum(1 << (p - 1) for p in a))
-            for a in self.levels
-        )
 
     @property
     def dimension(self):

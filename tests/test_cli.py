@@ -153,6 +153,27 @@ class TestVerify:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: no ")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["hook", "--n", "2..3", "--k", "2..3"]
+                + ["--max-weight", "1", "--l", "2"],
+                "error: suite hook does not read --l, --max-weight\n",
+            ),
+            (
+                ["paper-table", "--n", "2..3"],
+                "error: suite paper-table does not read --n\n",
+            ),
+        ],
+    )
+    def test_unread_option_exit_2(self, runner, args, message):
+        # an option the suite would drop is refused before any case runs
+        result = runner.invoke(cli.main, ["verify", *args])
+        assert result.exit_code == 2
+        assert result.stderr == message
+        assert result.stdout == ""
+
 
 class TestTables:
     def test_table(self, runner):

@@ -31,7 +31,78 @@ from polystrata.strata import pol_chain_complex
 from polystrata.verify import partitions_of
 
 # ---------------------------------------------------------------------------
-# Oracle: one Smith pass over each whole boundary matrix, no cell dropped
+# Oracle: one Smith pass over each whole boundary matrix, no cell dropped.
+# Its sparse unit-pivot elimination is its own, independent of the
+# coreduction that chain_homology runs; only the dense Smith core on the
+# residual is shared, and TestSmithNormalForm checks that against sympy.
+
+
+def _sparse_eliminate(rows, cols, pi, pj):
+    """Eliminate with the unit pivot at (pi, pj); removes its row and column."""
+    s = rows[pi][pj]  # +-1, its own inverse
+    prow = rows.pop(pi)
+    for j in prow:
+        cols[j].discard(pi)
+    for i in list(cols.get(pj, ())):
+        row = rows[i]
+        factor = row[pj] * s
+        for j, v in prow.items():
+            nv = row.get(j, 0) - factor * v
+            if nv:
+                row[j] = nv
+                cols[j].add(i)
+            elif j in row:
+                del row[j]
+                cols[j].discard(i)
+        if not row:
+            del rows[i]
+    cols.pop(pj, None)
+
+
+def _unit_pivots(rows, cols):
+    """Eliminate unit pivots until none is left; returns the (row, column) pairs.
+
+    ``rows`` and ``cols`` are reduced in place to the residual matrix.
+    """
+    pairs = []
+    progress = True
+    while progress:
+        progress = False
+        for i in list(rows):
+            row = rows.get(i)
+            if not row:
+                rows.pop(i, None)
+                continue
+            best = None
+            for j, v in row.items():
+                if v == 1 or v == -1:
+                    if best is None or len(cols[j]) < len(cols[best]):
+                        best = j
+            if best is not None:
+                _sparse_eliminate(rows, cols, i, best)
+                pairs.append((i, best))
+                progress = True
+    return pairs
+
+
+def _invariant_factors(units, rows, cols):
+    """``units`` ones, then the dense Smith factors of a residual, checked."""
+    factors = [1] * units
+    if rows:
+        col_index = {j: k for k, j in enumerate(sorted(cols))}
+        dense = []
+        for i in sorted(rows):
+            r = [0] * len(col_index)
+            for j, v in rows[i].items():
+                r[col_index[j]] = v
+            dense.append(r)
+        factors.extend(smith_normal_form(dense))
+    for a, b in zip(factors, factors[1:]):
+        if b % a:
+            raise InvariantError(
+                "invariant factors %r are not a divisibility chain" % (factors,)
+            )
+    return tuple(factors)
 
 
 def oracle_chain_homology(complex_):
@@ -42,8 +113,8 @@ def oracle_chain_homology(complex_):
             for r, v in col.items():
                 rows.setdefault(r, {})[c] = v
                 cols.setdefault(c, set()).add(r)
-        units = len(homology._unit_pivots(rows, cols))
-        factors[q] = homology._invariant_factors(units, rows, cols)
+        units = len(_unit_pivots(rows, cols))
+        factors[q] = _invariant_factors(units, rows, cols)
     groups = {}
     for q, gens in complex_.generators.items():
         up = factors.get(q + 1, ())
@@ -351,6 +422,32 @@ class TestChainHomology:
         )
         assert chain_homology(complex_) == HomologyResult.of({0: (0, (2,))})
 
+    def test_no_pair_across_a_coefficient_two(self, monkeypatch):
+        # cells a, b, e, f in degree order, d(e) = b - a and d(f) = 2a: f's
+        # only facet has coefficient 2, so a is critical, e pairs with b, and
+        # f is critical with boundary 2a
+        seen = []
+        coreduce = homology._coreduce
+        monkeypatch.setattr(
+            homology, "_coreduce", lambda *a: seen.append(coreduce(*a)) or seen[-1]
+        )
+        complex_ = ChainComplex(
+            {0: ("a", "b"), 1: ("e", "f")}, {1: {0: {0: -1, 1: 1}, 1: {0: 2}}}
+        )
+        assert chain_homology(complex_) == HomologyResult.of({0: (0, (2,))})
+        assert seen == [{0: {}, 3: {0: 2}}]
+
+    def test_euler_mismatch_raises(self, monkeypatch):
+        # a coreduction that loses its last critical cell, which no critical
+        # boundary reaches, is caught by the generators-versus-Betti check
+        coreduce = homology._coreduce
+        monkeypatch.setattr(
+            homology, "_coreduce", lambda *a: dict(list(coreduce(*a).items())[:-1])
+        )
+        complex_ = pol_chain_complex((1,) * 8, 12)  # H_11 = Z
+        with pytest.raises(InvariantError, match="-1 from cells, 0 from Betti"):
+            chain_homology(complex_)
+
     def test_rejects_nonzero_square(self):
         generators = {0: ("a",), 1: ("b", "c"), 2: ("d",)}
         boundaries = {1: {0: {0: 1}, 1: {0: 1}}, 2: {0: {0: 1, 1: 1}}}
@@ -589,6 +686,13 @@ class TestMorseComplex:
         sphere = SimplicialComplex.generated(range(5), combinations(range(5), 4))
         generators = _morse_complex(sphere).generators
         assert {q: len(g) for q, g in generators.items()} == {3: 1}
+
+    def test_matching_order_is_pinned(self):
+        # the queue seeded with the vertices in index order pairs the
+        # augmentation cell with the first vertex; the rest follows
+        complex_ = order_complex(c_lambda_poset((1, 2, 3, 4, 5)))
+        generators = _morse_complex(complex_).generators
+        assert {q: len(g) for q, g in generators.items()} == {2: 6, 3: 6}
 
     def test_euler_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(SimplicialComplex, "euler_characteristic", lambda self: 99)

@@ -64,10 +64,6 @@ class TestIteratedComposition:
         pi = IteratedComposition(4, ([2], (3, 1, 2, 2)))
         assert pi.levels == ((2,), (1, 2, 3))
 
-    def test_compositions_view(self):
-        pi = IteratedComposition(4, ((2,), (1, 2)))
-        assert pi.compositions == ((1, 2, 1), (3, 1))
-
     def test_dimension(self):
         pi = IteratedComposition(4, ((2,), (1, 2)))
         assert pi.dimension == 4 * 2 - 3
