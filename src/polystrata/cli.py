@@ -1,8 +1,9 @@
 """Command-line surface: compute homology, run verification suites, tabulate, export.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 internal
-invariant failure.  All regular output goes to standard output, diagnostics
-to standard error; exports are deterministic for identical inputs.
+invariant failure, 4 any other internal error, such as running out of memory.
+All regular output goes to standard output, diagnostics to standard error;
+exports are deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .compositions import (
 )
 from .homology import InvariantError, simplicial_homology
 from .hyperbolic import BackendDisagreement, hyp_homology, resonance_free_prediction
-from .iterated import iterated_poset
+from .iterated import c_lambda_d_poset, iterated_poset
 from .permutahedron import permutahedron_face_poset
 from .posets import PosetError, face_poset, order_complex
 from .resonance import primitive_identities
@@ -29,10 +30,12 @@ from .verify import SUITES, partitions_of
 
 INVALID_INPUT = 2
 INVARIANT_FAILURE = 3
+INTERNAL_ERROR = 4
 
 
 def _guard(func):
-    """Map domain errors to exit 2 and invariant failures to exit 3."""
+    """Map domain errors to exit 2, invariant failures to exit 3 and any
+    other exception, click's own aside, to exit 4 with a one-line message."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -44,6 +47,11 @@ def _guard(func):
         except (InvariantError, BackendDisagreement, PosetError) as exc:
             click.echo("invariant failure: %s" % exc, err=True)
             sys.exit(INVARIANT_FAILURE)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo("internal error: %s: %s" % (type(exc).__name__, exc), err=True)
+            sys.exit(INTERNAL_ERROR)
 
     return wrapper
 
@@ -65,6 +73,14 @@ def _parse_range(text):
         return int(lo), int(hi)
     value = int(text)
     return value, value
+
+
+def _refuse_unread(what, given, reads):
+    """Refuse, as invalid input, every option given (not None) that ``what``
+    does not read."""
+    ignored = [o for o, value in given.items() if value is not None and o not in reads]
+    if ignored:
+        raise ValueError("%s does not read %s" % (what, ", ".join(ignored)))
 
 
 @click.group()
@@ -159,10 +175,8 @@ def verify(suite, n_range, k_range, l_max, n_max, max_weight, fmt, quiet):
         "--max-weight": max_weight,
     }
     reads = SUITE_OPTIONS[suite]
+    _refuse_unread("suite " + suite, given, reads)
     given = {option: value for option, value in given.items() if value is not None}
-    ignored = [option for option in given if option not in reads]
-    if ignored:
-        raise ValueError("suite %s does not read %s" % (suite, ", ".join(ignored)))
     kwargs = {
         reads[option]: _parse_range(value) if isinstance(value, str) else value
         for option, value in given.items()
@@ -249,11 +263,18 @@ def census(max_weight, list_identities):
                 click.echo("    %s: %s" % (partition, pretty))
 
 
+# per export object, the options it reads besides --format
+EXPORT_OPTIONS = {
+    "clambda": ("--lambda", "--d"),
+    "delta": ("--lambda",),
+    "closure-poset": ("--lambda", "--n"),
+    "permutahedron": ("--t",),
+    "iterated": ("--n", "--d"),
+}
+
+
 @main.command()
-@click.argument(
-    "obj",
-    type=click.Choice(["clambda", "delta", "closure-poset", "permutahedron", "iterated"]),
-)
+@click.argument("obj", type=click.Choice(list(EXPORT_OPTIONS)))
 @click.option("--lambda", "parts", default=None, help="comma-separated parts")
 @click.option("--n", type=int, default=None)
 @click.option("--d", type=int, default=None)
@@ -263,7 +284,13 @@ def census(max_weight, list_identities):
 )
 @_guard
 def export(obj, parts, n, d, t, fmt):
-    """Export a poset or complex as DOT or JSON, deterministically."""
+    """Export a poset or complex as DOT or JSON, deterministically.
+
+    ``clambda`` with ``--d`` exports C_{lambda,d}.  An option that the object
+    does not read is refused with exit 2.
+    """
+    given = {"--lambda": parts, "--n": n, "--d": d, "--t": t}
+    _refuse_unread("export " + obj, given, EXPORT_OPTIONS[obj])
     if obj == "delta":
         if parts is None:
             raise ValueError("--lambda is required")
@@ -287,7 +314,8 @@ def export(obj, parts, n, d, t, fmt):
     if obj == "clambda":
         if parts is None:
             raise ValueError("--lambda is required")
-        poset = c_lambda_poset(tuple(sorted(parse_parts(parts))))
+        partition = tuple(sorted(parse_parts(parts)))
+        poset = c_lambda_poset(partition) if d is None else c_lambda_d_poset(partition, d)
     elif obj == "closure-poset":
         if parts is None or n is None:
             raise ValueError("--lambda and --n are required")

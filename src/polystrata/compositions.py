@@ -17,7 +17,7 @@ of its compositions; and the complex generated by their partial-sum faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, index
 
 from .homology import HomologyResult, SimplicialComplex, simplicial_homology
@@ -214,10 +214,18 @@ def coarsening_poset(partition):
 
 @dataclass(frozen=True)
 class LabeledComplex:
-    """A simplicial complex whose faces carry composition labels."""
+    """A partial-sum complex whose faces carry composition labels, made when read."""
 
     complex: SimplicialComplex
-    labels: dict  # face tuple (of vertex indices) -> composition
+
+    @cached_property
+    def labels(self):
+        """Face tuple (of vertex indices) -> its composition."""
+        n = len(self.complex.vertices) + 1
+        return {
+            face: composition_from_partial_sums(n, _face_mask(face))
+            for face in self.complex.faces
+        }
 
     def label_of(self, face):
         return self.labels[tuple(sorted(face))]
@@ -244,12 +252,7 @@ def delta_lambda_complex(partition):
         for c in compositions_of_type(partition)
         if len(c) >= 2
     ]
-    complex_ = SimplicialComplex.generated(vertices, tops)
-    labels = {
-        face: composition_from_partial_sums(n, _face_mask(face))
-        for face in complex_.faces
-    }
-    return LabeledComplex(complex_, labels)
+    return LabeledComplex(SimplicialComplex.generated(vertices, tops))
 
 
 # ---------------------------------------------------------------------------

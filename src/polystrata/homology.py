@@ -6,11 +6,12 @@ that coefficient is +-1, and the critical cells it leaves form a Morse
 complex, chain equivalent to the input and usually a few dozen cells where
 the input has thousands or hundreds of thousands.  A graded chain complex
 feeds it its columns; a simplicial complex feeds it its augmented chains
-from a face table, each face with the indices of its facets, built by one
-routine from faces fed level by level as (parent face, new last vertex)
-pairs, so facets are found under integer keys; an order complex feeds its
-chains to it as they are enumerated.  A dense Smith reduction of the
-critical cells' boundaries gives the invariant factors.
+from a face table, which one routine builds from faces fed level by level as
+(parent face, new last vertex) pairs and which stores each face as that last
+vertex and the indices of its facets: facets are found under integer keys,
+no face tuple is hashed, and a face is decoded only when read.  An order
+complex feeds its chains to the table as they are enumerated.  A dense Smith
+reduction of the critical cells' boundaries gives the invariant factors.
 
 All homology here uses the reduced convention.  The empty complex has a single
 reduced homology group Z in degree -1; a point has none.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from operator import lt
@@ -407,17 +408,16 @@ def chain_homology(complex_):
 def _face_table(n, levels):
     """The face table of faces on n vertices, fed level by level.
 
-    Each level is a sequence of pairs (parent cell, new last vertex j) naming
-    the face ``cells[parent] + (j,)``; cell 0 is ``()`` and new cells are
-    numbered in the order fed.  ``facets[c][k]`` is the index of cell c
-    without its vertex k, with sign (-1)^k.  A face's last facet is its
-    parent, and its facet k < len(parent) is the child, by the same j, of
-    the parent's facet k: it is looked up under the integer key
-    ``facet * n + j`` among the cells of the level before, so no face tuple
-    is hashed.  A failed lookup is a missing face and raises ValueError.
+    Each level is a sequence of pairs (parent cell, new last vertex j); cell
+    0 is ``()`` and new cells are numbered in the order fed.  The table holds
+    each cell's last vertex, its facets (``facets[c][k]`` is cell c without
+    its vertex k, sign (-1)^k) and the first cell of each size, then the cell
+    count; no face tuple is built.  The last facet is the parent, and facet
+    k < len(parent) the child by j of the parent's facet k, looked up under
+    the integer key ``facet * n + j`` among the level before.  A failed
+    lookup is a missing face and raises ValueError.
     """
-    cells = [()]
-    facets = [()]
+    last, facets, starts = [-1], [()], [0, 1]
     known = {}  # a level's cells by parent * n + last vertex
     for level in levels:
         below, known = known, {}
@@ -426,17 +426,35 @@ def _face_table(n, levels):
             try:
                 row = [get(f * n + j) for f in facets[p]]
             except KeyError:
-                face = cells[p] + (j,)
+                face = _face((last, facets, starts), p) + (j,)
                 k = max(k for k, f in enumerate(facets[p]) if f * n + j not in below)
                 raise ValueError(
                     "not downward closed: %r present, %r missing"
                     % (face, face[:k] + face[k + 1 :])
                 ) from None
             row.append(p)
-            known[p * n + j] = len(cells)
-            cells.append(cells[p] + (j,))
+            known[p * n + j] = len(last)
+            last.append(j)
             facets.append(tuple(row))
-    return tuple(cells), tuple(facets)
+        starts.append(len(last))
+    return last, facets, starts
+
+
+def _face(table, c):
+    """Cell c of a face table as a vertex tuple, read back through its parents."""
+    face = ()
+    while c:
+        face, c = (table[0][c],) + face, table[1][c][-1]
+    return face
+
+
+def _faces(table):
+    """Every cell of a face table as a vertex tuple, ``()`` first."""
+    last, facets, _ = table
+    faces = [()]
+    for c in range(1, len(last)):
+        faces.append(faces[facets[c][-1]] + (last[c],))
+    return faces
 
 
 def _checked_levels(n, faces):
@@ -483,10 +501,10 @@ class SimplicialComplex:
     ``_table`` is the face table the Morse reduction reads, built by
     ``_face_table``: cells ``()`` and then the faces level by level, each
     level in chain-enumeration order (by parent cell, then last vertex, so
-    lexicographic for given faces), and each cell's facet indices.  Faces
-    given from outside are checked one by one as the table is built;
+    lexicographic for given faces), each cell's facets and the level starts.
+    Faces given from outside are checked one by one as the table is built;
     ``order_complex`` grows its chains straight into the table through
-    ``_grown``.
+    ``_grown``, which decodes ``faces`` only when they are first read.
     """
 
     vertices: tuple
@@ -498,6 +516,12 @@ class SimplicialComplex:
         table = _face_table(n, _checked_levels(n, self.faces))
         object.__setattr__(self, "_table", table)
 
+    def __getattr__(self, name):
+        if name != "faces":  # a grown complex decodes its faces when first read
+            raise AttributeError(name)
+        object.__setattr__(self, "faces", frozenset(_faces(self._table)[1:]))
+        return self.faces
+
     @classmethod
     def _grown(cls, vertices, levels):
         """The complex whose faces are fed to ``_face_table`` as ``levels``.
@@ -506,10 +530,8 @@ class SimplicialComplex:
         caller can vouch for; downward closure is still checked.
         """
         self = object.__new__(cls)
-        table = _face_table(len(vertices), levels)
         object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "faces", frozenset(table[0][1:]))
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", _face_table(len(vertices), levels))
         return self
 
     @staticmethod
@@ -524,17 +546,17 @@ class SimplicialComplex:
 
     @property
     def dimension(self):
-        return max((len(f) for f in self.faces), default=0) - 1
+        return len(self._table[2]) - 3
 
     def facets(self):
         """Faces maximal under inclusion: those that no cell lists as a facet."""
-        cells, facets = self._table
-        listed = set(chain.from_iterable(facets))
-        return sorted(cells[c] for c in set(range(1, len(cells))) - listed)
+        listed = set(chain.from_iterable(self._table[1]))
+        cells = set(range(1, len(self._table[0]))) - listed
+        return sorted(_face(self._table, c) for c in cells)
 
     def euler_characteristic(self):
-        sizes = Counter(map(len, self.faces))
-        return sum(-m if k % 2 == 0 else m for k, m in sizes.items())
+        s = self._table[2]  # faces of size k: s[k + 1] - s[k]
+        return sum((-1) ** k * (s[k] - s[k + 1]) for k in range(1, len(s) - 1))
 
 
 def _morse_complex(complex_):
@@ -542,27 +564,31 @@ def _morse_complex(complex_):
 
     Cells, ``()`` and then the faces level by level, and their facets come
     from the complex's face table; the coefficients of a face's facets are
-    one shared alternating-sign tuple per face size, each level's cells
-    found by bisection on face size.  ``_coreduce`` first pairs the
-    augmentation cell with the first vertex, and the matching depends on cell
-    order: in the table's chain-enumeration order, 45 of the 509,428 faces of
-    the order complex of C_λ for (1,2,3,4,5,6) stay critical, where an
-    arbitrary order within each dimension left 83.  The critical cells' Euler
-    characteristic is checked against the faces'.
+    one shared alternating-sign tuple per face size, over that size's level.
+    ``_coreduce`` first pairs the augmentation cell with the first vertex,
+    and the matching depends on cell order: in the table's chain-enumeration
+    order, 45 of the 509,428 faces of the order complex of C_λ for
+    (1,2,3,4,5,6) stay critical, where an arbitrary order within each
+    dimension left 83.  Only critical cells are decoded, to label them, and
+    their Euler characteristic is checked against the faces'.
     """
-    cells, facets = complex_._table
+    table = complex_._table
+    starts = table[2]
     coefficients = []
-    for size in range(len(cells[-1]) + 1):
+    for size in range(len(starts) - 1):
         signs = tuple(-1 if k & 1 else 1 for k in range(size))
-        level_end = bisect_right(cells, size, key=len)
-        coefficients += [signs] * (level_end - len(coefficients))
-    boundary = _coreduce(facets, coefficients)
-    generators = {}
-    position = {}
-    for c in boundary:
-        gens = generators.setdefault(len(cells[c]) - 1, [])
+        coefficients += [signs] * (starts[size + 1] - starts[size])
+    boundary = _coreduce(table[1], coefficients)
+    generators, boundaries, position = {}, {}, {}
+    for c, col in boundary.items():  # a column's cells come before its own
+        q = bisect_right(starts, c) - 2
+        gens = generators.setdefault(q, [])
         position[c] = len(gens)
-        gens.append(cells[c] or "*")
+        gens.append(_face(table, c) or "*")
+        if col:
+            boundaries.setdefault(q, {})[position[c]] = {
+                position[x]: v for x, v in col.items()
+            }
     generators = {q: tuple(gens) for q, gens in generators.items()}
     critical_euler = sum((-1) ** (q % 2) * len(g) for q, g in generators.items())
     face_euler = complex_.euler_characteristic() - 1  # the augmentation cell
@@ -571,12 +597,6 @@ def _morse_complex(complex_):
             "Euler characteristic mismatch: %d from %d critical cells, %d from faces"
             % (critical_euler, len(boundary), face_euler)
         )
-    boundaries = {}
-    for c, col in boundary.items():
-        if col:
-            boundaries.setdefault(len(cells[c]) - 1, {})[position[c]] = {
-                position[x]: v for x, v in col.items()
-            }
     return ChainComplex(generators, boundaries)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .homology import InvariantError, SimplicialComplex, _face_table
+from .homology import InvariantError, SimplicialComplex, _face_table, _faces
 
 
 class PosetError(Exception):
@@ -267,16 +267,16 @@ def order_complex(poset):
 
     Chains grow level by level, each as a parent chain and a new last
     element, and are fed in that order straight into the face table (see
-    ``homology._face_table``), so no chain is hashed to find its facets.
-    That needs every chain to be a sorted tuple, which holds when index
-    order is a linear extension, as for C_λ, coarsening and face posets.
-    Otherwise (a dual C_λ, say) the chains, enumerated the same way as
-    sequences, are sorted and checked as given faces.
+    ``homology._face_table``), so no chain tuple is built or hashed until the
+    faces are read.  That needs every chain to be a sorted tuple, which holds
+    when index order is a linear extension, as for C_λ, coarsening and face
+    posets.  Otherwise (a dual C_λ, say) the chains, enumerated the same way
+    as sequences, are decoded, sorted and checked as given faces.
     """
     up = [tuple(_bits(mask)) for mask in poset._above]
     levels = _chain_levels(up)
     if any(mask & ((1 << i) - 1) for i, mask in enumerate(poset._above)):
-        cells = _face_table(len(up), levels)[0]
+        cells = _faces(_face_table(len(up), levels))
         faces = frozenset(map(tuple, map(sorted, cells[1:])))
         return SimplicialComplex(poset.elements, faces)
     return SimplicialComplex._grown(poset.elements, levels)

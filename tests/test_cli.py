@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from polystrata import cli
 from polystrata.homology import sphere_homology
 from polystrata.hyperbolic import BackendDisagreement
+from polystrata.iterated import c_lambda_d_poset
 
 
 @pytest.fixture
@@ -57,6 +59,32 @@ class TestHyp:
         monkeypatch.setattr(cli, "hyp_homology", explode)
         result = runner.invoke(cli.main, ["hyp", "--lambda", "1,2"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError(), "internal error: MemoryError: \n"),
+            (KeyError("x"), "internal error: KeyError: 'x'\n"),
+        ],
+    )
+    def test_unforeseen_exception_exit_4(self, runner, monkeypatch, error, message):
+        # one line and no traceback; exit 1 stays verify's mismatch code
+        def explode(partition, backend):
+            raise error
+
+        monkeypatch.setattr(cli, "hyp_homology", explode)
+        result = runner.invoke(cli.main, ["hyp", "--lambda", "1,2"])
+        assert result.exit_code == 4
+        assert result.stderr == message and result.stdout == ""
+
+    def test_click_exceptions_pass_through(self, runner, monkeypatch):
+        def refuse(partition, backend):
+            raise click.BadParameter("no such type")
+
+        monkeypatch.setattr(cli, "hyp_homology", refuse)
+        result = runner.invoke(cli.main, ["hyp", "--lambda", "1,2"])
+        assert result.exit_code == 2
+        assert "Invalid value: no such type" in result.stderr
 
 
 class TestPol:
@@ -379,6 +407,59 @@ class TestExport:
     def test_missing_options_exit_2(self, runner):
         assert runner.invoke(cli.main, ["export", "clambda"]).exit_code == 2
         assert runner.invoke(cli.main, ["export", "iterated"]).exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["clambda", "--lambda", "1,2", "--n", "7", "--t", "3", "--d", "4"],
+                "error: export clambda does not read --n, --t\n",
+            ),
+            (
+                ["permutahedron", "--t", "3", "--lambda", "9,9"],
+                "error: export permutahedron does not read --lambda\n",
+            ),
+            (
+                ["delta", "--lambda", "1,2", "--d", "2", "--format", "json"],
+                "error: export delta does not read --d\n",
+            ),
+            (
+                ["closure-poset", "--lambda", "1,2", "--n", "5", "--t", "2"],
+                "error: export closure-poset does not read --t\n",
+            ),
+            (
+                ["iterated", "--n", "3", "--d", "2", "--lambda", "1"],
+                "error: export iterated does not read --lambda\n",
+            ),
+        ],
+    )
+    def test_unread_option_exit_2(self, runner, args, message):
+        # an option the object would drop is refused before anything is built
+        result = runner.invoke(cli.main, ["export", *args])
+        assert result.exit_code == 2
+        assert result.stderr == message
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_clambda_d(self, runner, d):
+        # --d exports C_{lambda,d}; without it C_lambda, as pinned above
+        poset = c_lambda_d_poset((1, 1, 2), d)
+        args = ["export", "clambda", "--lambda", "2,1,1", "--d", str(d)]
+        result = runner.invoke(cli.main, args + ["--format", "json"])
+        assert result.exit_code == 0 and result.output == poset.to_json() + "\n"
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0 and result.output == poset.to_dot("clambda")
+        plain = json.loads(
+            runner.invoke(cli.main, args[:4] + ["--format", "json"]).output
+        )
+        assert len(json.loads(poset.to_json())["covers"]) == len(plain["covers"])
+
+    def test_clambda_d_below_1_exit_2(self, runner):
+        result = runner.invoke(
+            cli.main, ["export", "clambda", "--lambda", "1,2", "--d", "0"]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: need d >= 1\n"
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystrata import homology
+from polystrata import compositions, homology
 from polystrata.compositions import (
     c_lambda_poset,
     coarsening_poset,
@@ -19,6 +19,8 @@ from polystrata.homology import (
     HomologyResult,
     InvariantError,
     SimplicialComplex,
+    _face,
+    _faces,
     _morse_complex,
     chain_homology,
     simplicial_homology,
@@ -26,6 +28,7 @@ from polystrata.homology import (
     sphere_homology,
     suspension_shift,
 )
+from polystrata.hyperbolic import hyp_homology
 from polystrata.posets import face_poset, order_complex
 from polystrata.strata import pol_chain_complex
 from polystrata.verify import partitions_of
@@ -664,6 +667,87 @@ class TestSimplicialComplex:
         complexes.append(SimplicialComplex((), frozenset()))
         for complex_ in complexes:
             assert complex_.facets() == facets_by_subset_scan(complex_)
+
+
+def chains_by_comparison(poset):
+    """Oracle: the chains of a poset whose index order is a linear extension,
+    each grown by every later element above its last, by ``Poset.lt``."""
+    elements = poset.elements
+    chains, level = [], [(i,) for i in range(len(elements))]
+    while level:
+        chains += level
+        level = [
+            c + (k,)
+            for c in level
+            for k in range(c[-1] + 1, len(elements))
+            if poset.lt(elements[c[-1]], elements[k])
+        ]
+    return frozenset(chains)
+
+
+def table_complexes():
+    """Given, generated and grown complexes, each with its faces by an oracle."""
+    complexes = [(c, c.faces) for c in random_complexes(5, count=40)]
+    empty = SimplicialComplex((), frozenset())
+    complexes.append((empty, frozenset()))
+    for weight in range(2, 9):
+        for partition in partitions_of(weight):
+            delta = delta_lambda_complex(partition).complex
+            complexes.append((delta, delta.faces))
+    for weight in range(1, 7):
+        for partition in partitions_of(weight):
+            poset = c_lambda_poset(partition)
+            complexes.append((order_complex(poset), chains_by_comparison(poset)))
+    return complexes
+
+
+class TestFaceTable:
+    def test_decoded_faces_and_counts_match_oracle(self):
+        for complex_, faces in table_complexes():
+            table = complex_._table
+            decoded = _faces(table)
+            assert decoded[0] == () and len(decoded) == len(faces) + 1
+            assert frozenset(decoded[1:]) == faces == complex_.faces
+            assert [_face(table, c) for c in range(len(decoded))] == decoded
+            sizes = Counter(map(len, faces))
+            assert complex_.dimension == max(sizes, default=0) - 1
+            assert complex_.euler_characteristic() == sum(
+                m if k % 2 else -m for k, m in sizes.items()
+            )
+
+    def test_grown_and_given_compare_and_hash_equal(self):
+        for partition in [(1,), (1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 2)]:
+            poset = c_lambda_poset(partition)
+            grown = order_complex(poset)
+            given = SimplicialComplex(poset.elements, chains_by_comparison(poset))
+            assert hash(grown) == hash(given) and grown == given and given == grown
+            if given.faces:  # a complex one facet short differs
+                fewer = given.faces - {given.facets()[-1]}
+                assert order_complex(poset) != SimplicialComplex(poset.elements, fewer)
+
+    def test_hyp_homology_builds_no_face_tuple_or_label(self, monkeypatch):
+        # only critical cells are decoded; all faces and labels when read
+        decoded, whole, labels = [], [], []
+        face, faces = homology._face, homology._faces
+        mask = compositions._face_mask  # read once per label
+        monkeypatch.setattr(homology, "_face", lambda t, c: decoded.append(c) or face(t, c))
+        monkeypatch.setattr(homology, "_faces", lambda t: whole.append(t) or faces(t))
+        monkeypatch.setattr(compositions, "_face_mask", lambda f: labels.append(f) or mask(f))
+        for partition in [(1, 2, 3), (1, 1, 2, 2), (1, 1, 1, 3), (1, 2, 3, 4)]:
+            grown = order_complex(c_lambda_poset(partition))
+            labeled = delta_lambda_complex(partition)
+            critical = sum(
+                len(gens)
+                for complex_ in (grown, labeled.complex)
+                for gens in _morse_complex(complex_).generators.values()
+            )
+            decoded.clear()
+            hyp_homology(partition)
+            assert len(decoded) == critical and whole == [] and labels == []
+            assert len(labeled.labels) == len(labels) == len(labeled.complex.faces)
+            assert len(grown.faces) == len(grown._table[0]) - 1 and len(whole) == 1
+            whole.clear()
+            labels.clear()
 
 
 class TestMorseComplex:

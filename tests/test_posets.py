@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystrata.compositions import c_lambda_poset, coarsening_poset
-from polystrata.homology import SimplicialComplex, simplicial_homology, sphere_homology
+from polystrata.homology import (
+    SimplicialComplex,
+    _faces,
+    simplicial_homology,
+    sphere_homology,
+)
 from polystrata.permutahedron import permutahedron_face_poset, young_subgroup_action
 from polystrata.posets import (
     ClosureLawError,
@@ -228,8 +233,13 @@ class TestOrderComplexTable:
         grown = order_complex(poset)
         given = SimplicialComplex(grown.vertices, grown.faces)
         for complex_ in (grown, given):
-            cells, facets = complex_._table
+            last, facets, starts = complex_._table
+            cells = _faces(complex_._table)
             assert cells[0] == () and facets[0] == ()
+            assert last[1:] == [cell[-1] for cell in cells[1:]]
+            assert starts == [0] + [
+                sum(len(cell) < size for cell in cells) for size in range(1, len(starts))
+            ]
             assert set(cells[1:]) == grown.faces and len(cells) == len(grown.faces) + 1
             for c, fs in enumerate(facets):
                 assert [cells[f] for f in fs] == [
