@@ -546,7 +546,7 @@ class SimplicialComplex:
 
     @property
     def dimension(self):
-        return len(self._table[2]) - 3
+        return len(self._table[2]) - 3  # a start per size 0..d+1, then the count
 
     def facets(self):
         """Faces maximal under inclusion: those that no cell lists as a facet."""
