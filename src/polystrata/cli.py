@@ -56,7 +56,7 @@ def _guard(func):
     return wrapper
 
 
-def _render_homology(result, fmt, quiet=False):
+def _render_homology(result, fmt):
     if fmt == "json":
         click.echo(result.to_json())
     elif fmt == "csv":

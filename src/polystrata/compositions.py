@@ -122,15 +122,6 @@ def composition_from_merged_set(n, mask):
     return composition_from_partial_sums(n, ((1 << (n - 1)) - 1) ^ mask)
 
 
-def coarsenings(parts):
-    """All compositions obtainable by merging adjacent parts (including parts)."""
-    n, base = weight(parts), merged_set(parts)
-    return [
-        composition_from_merged_set(n, base | s)
-        for s in sorted(submasks(partial_sums(parts)), key=_by_size)
-    ]
-
-
 def compositions_of_type(partition):
     """Distinct orderings of the part multiset, lexicographically."""
     partition = as_partition(partition)
@@ -226,9 +217,6 @@ class LabeledComplex:
             face: composition_from_partial_sums(n, _face_mask(face))
             for face in self.complex.faces
         }
-
-    def label_of(self, face):
-        return self.labels[tuple(sorted(face))]
 
 
 def _face_mask(face):

@@ -1,17 +1,19 @@
 """Exact integral homology of simplicial complexes and graded chain complexes.
 
-Everything runs over arbitrary-precision Python integers.  One coreduction
-reduces every complex: it pairs a cell with its only remaining facet when
-that coefficient is +-1, and the critical cells it leaves form a Morse
-complex, chain equivalent to the input and usually a few dozen cells where
-the input has thousands or hundreds of thousands.  A graded chain complex
-feeds it its columns; a simplicial complex feeds it its augmented chains
-from a face table, which one routine builds from faces fed level by level as
-(parent face, new last vertex) pairs and which stores each face as that last
-vertex and the indices of its facets: facets are found under integer keys,
-no face tuple is hashed, and a face is decoded only when read.  An order
-complex feeds its chains to the table as they are enumerated.  A dense Smith
-reduction of the critical cells' boundaries gives the invariant factors.
+Everything runs over arbitrary-precision Python integers.  One routine,
+``_reduce``, takes every complex from its cells to its Smith form.  It runs
+one coreduction, which pairs a cell with its only remaining facet when that
+coefficient is +-1; the critical cells it leaves form a Morse complex, chain
+equivalent to the input and usually a few dozen cells where the input has
+thousands or hundreds of thousands.  It checks d(d(x)) = 0 on the critical
+cells, reduces each degree's boundary between them with a dense Smith core,
+and checks the cells' Euler characteristic against the Betti numbers.  A
+graded chain complex feeds it its columns; a simplicial complex feeds it its
+augmented chains from a face table, which one routine builds from faces fed
+level by level as (parent face, new last vertex) pairs and which stores each
+face as that last vertex and the indices of its facets: facets are found
+under integer keys, no face tuple is hashed, and a face is decoded only when
+read.  An order complex feeds its chains to the table as they are enumerated.
 
 All homology here uses the reduced convention.  The empty complex has a single
 reduced homology group Z in degree -1; a point has none.
@@ -130,7 +132,6 @@ class HomologyResult:
     """Reduced integral homology: per degree a Betti number and torsion factors."""
 
     groups: tuple  # sorted tuple of (degree, betti, torsion-tuple), all nontrivial
-    reduced: bool = True
 
     @staticmethod
     def of(groups):
@@ -155,19 +156,10 @@ class HomologyResult:
                 return torsion
         return ()
 
-    @property
-    def is_zero(self):
-        return not self.groups
-
-    def shifted(self, k):
-        return HomologyResult(
-            tuple((q + k, b, t) for q, b, t in self.groups), self.reduced
-        )
-
     def to_json(self):
         return json.dumps(
             {
-                "reduced": self.reduced,
+                "reduced": True,
                 "groups": [
                     {"degree": q, "betti": b, "torsion": list(t)}
                     for q, b, t in self.groups
@@ -194,9 +186,7 @@ def sphere_homology(d):
 
 def suspension_shift(result, k):
     """Push every homology group up by k degrees (k-fold suspension)."""
-    if not result.reduced:
-        raise ValueError("suspension shift is defined on reduced results")
-    return result.shifted(k)
+    return HomologyResult(tuple((q + k, b, t) for q, b, t in result.groups))
 
 
 # ---------------------------------------------------------------------------
@@ -229,37 +219,46 @@ class ChainComplex:
                     raise ValueError("boundary column %d out of range" % c)
                 if min(col) < 0 or max(col) >= nlow:
                     raise ValueError("boundary row out of range in degree %d" % q)
-        self._check_squares_to_zero()
+        _check_squares_to_zero(
+            self.generators, self.boundaries, lambda q, i: self.generators[q][i]
+        )
 
     def degrees(self):
         return sorted(self.generators)
 
-    def _check_squares_to_zero(self):
-        """Each column of d_q is summed into one reused list over the
-        degree-(q-2) cells, then read back and reset over the same terms:
-        nonzero entries are reported in the order their rows were reached."""
-        for q, cols in self.boundaries.items():
-            lower = self.boundaries.get(q - 1)
-            if not lower:
-                continue
-            low = [()] * len(self.generators[q - 1])
-            for r, col in lower.items():
-                low[r] = tuple(col.items())
-            acc = [0] * len(self.generators[q - 2])
-            for c, col in cols.items():
-                for r, v in col.items():
-                    for r2, v2 in low[r]:
-                        acc[r2] += v * v2
-                surv = {}
-                for r in col:
-                    for r2, _ in low[r]:
-                        if acc[r2]:
-                            surv[self.generators[q - 2][r2]] = acc[r2]
-                            acc[r2] = 0
-                if surv:
-                    raise BoundarySquareError(
-                        "d(d(%r)) = %r is nonzero" % (self.generators[q][c], surv)
-                    )
+
+def _check_squares_to_zero(cells, boundaries, name):
+    """Raise BoundarySquareError unless d(d(x)) = 0 on every column.
+
+    ``boundaries[q]`` maps the index of a degree-q cell to its column
+    {index in degree q-1: coefficient}, ``len(cells[q])`` counts the degree-q
+    cells, and ``name(q, i)`` names cell i of degree q, read only to name an
+    offender.  Each column of d_q is summed into one reused list over the
+    degree-(q-2) cells, then read back and reset over the same terms: nonzero
+    entries are reported in the order their rows were reached.
+    """
+    for q, cols in boundaries.items():
+        lower = boundaries.get(q - 1)
+        if not lower:
+            continue
+        low = [()] * len(cells[q - 1])
+        for r, col in lower.items():
+            low[r] = tuple(col.items())
+        acc = [0] * len(cells[q - 2])
+        for c, col in cols.items():
+            for r, v in col.items():
+                for r2, v2 in low[r]:
+                    acc[r2] += v * v2
+            surv = {}
+            for r in col:
+                for r2, _ in low[r]:
+                    if acc[r2]:
+                        surv[name(q - 2, r2)] = acc[r2]
+                        acc[r2] = 0
+            if surv:
+                raise BoundarySquareError(
+                    "d(d(%r)) = %r is nonzero" % (name(q, c), surv)
+                )
 
 
 def _coreduce(facets, coefficients):
@@ -341,24 +340,68 @@ def _coreduce(facets, coefficients):
     return boundary
 
 
-def chain_homology(complex_):
-    """Exact homology of a ChainComplex, on the Morse complex of a coreduction.
+def _reduce(facets, coefficients, starts, degrees, label, euler_cells):
+    """Reduced homology of cells numbered in degree order, by one coreduction.
 
-    The degrees' cells are numbered one after another, each with its column
-    as facets and coefficients, and ``_coreduce`` pairs cells along unit
-    coefficients.  Each degree's boundary between the critical cells then
-    goes through the dense Smith reduction, whose factors are checked to be
-    a divisibility chain.
+    ``facets`` and ``coefficients`` are as ``_coreduce`` reads them, the cells
+    of degree ``degrees[k]`` start at ``starts[k]``, and ``label(q, c)`` names
+    cell c of degree q, read only to name an offender.  The critical cells are
+    grouped by degree, d(d(x)) = 0 is checked on their Morse boundaries, and
+    each degree's boundary goes through the dense Smith reduction, whose
+    factors are checked to be a divisibility chain.
 
     Betti_q = critical cells in degree q - rank d_q - rank d_{q+1};
-    torsion_q = invariant factors of d_{q+1} exceeding 1.  The Euler
-    characteristics of the generators and of the answer are cross-checked.
+    torsion_q = invariant factors of d_{q+1} exceeding 1.  ``euler_cells``,
+    the Euler characteristic of all the cells, is checked against the Betti
+    numbers'.
+    """
+    boundary = _coreduce(facets, coefficients)
+    critical = {q: [] for q in degrees}
+    columns, position = {}, {}
+    for c, col in boundary.items():  # a column's cells come before its own
+        q = degrees[bisect_right(starts, c) - 1]
+        cells = critical[q]
+        position[c] = len(cells)
+        if col:
+            columns.setdefault(q, {})[len(cells)] = {
+                position[x]: v for x, v in col.items()
+            }
+        cells.append(c)
+    _check_squares_to_zero(critical, columns, lambda q, i: label(q, critical[q][i]))
+    factors = {}
+    for q, cols in columns.items():
+        matrix = [[0] * len(critical[q]) for _ in critical[q - 1]]
+        for j, col in cols.items():
+            for i, v in col.items():
+                matrix[i][j] = v
+        factors[q] = smith_normal_form(matrix)
+    groups = {}
+    for q, cells in critical.items():
+        up = factors.get(q + 1, ())
+        betti = len(cells) - len(factors.get(q, ())) - len(up)
+        groups[q] = (betti, tuple(d for d in up if d > 1))
+    euler_betti = sum(-b if q % 2 else b for q, (b, _) in groups.items())
+    if euler_cells != euler_betti:
+        raise InvariantError(
+            "Euler characteristic mismatch: %d from cells, %d from Betti numbers"
+            % (euler_cells, euler_betti)
+        )
+    return HomologyResult.of(groups)
+
+
+def chain_homology(complex_):
+    """Exact homology of a ChainComplex, by ``_reduce``.
+
+    The degrees' generators are numbered one after another, each with its
+    column as facets and coefficients, and their Euler characteristic is the
+    one checked against the Betti numbers.
     """
     degrees = complex_.degrees()
+    gens = complex_.generators
     facets, coefficients, starts = [], [], []
     for q in degrees:
-        low = starts[-1] if q - 1 in complex_.generators else 0
-        size = len(complex_.generators[q])
+        low = starts[-1] if q - 1 in gens else 0
+        size = len(gens[q])
         fs, cs = [()] * size, [()] * size
         for c, col in complex_.boundaries.get(q, {}).items():
             fs[c] = [r + low for r in col]
@@ -366,39 +409,10 @@ def chain_homology(complex_):
         starts.append(len(facets))
         facets += fs
         coefficients += cs
-    boundary = _coreduce(facets, coefficients)
-    critical = {q: [] for q in degrees}
-    position = {}
-    for c in boundary:
-        cells = critical[degrees[bisect_right(starts, c) - 1]]
-        position[c] = len(cells)
-        cells.append(c)
-    factors = {}
-    for q, cells in critical.items():
-        rows = critical.get(q - 1)
-        if cells and rows:
-            matrix = [[0] * len(cells) for _ in rows]
-            for j, c in enumerate(cells):
-                for r, v in boundary[c].items():
-                    matrix[position[r]][j] = v
-            factors[q] = smith_normal_form(matrix)
-    groups = {}
-    for q, cells in critical.items():
-        up = factors.get(q + 1, ())
-        betti = len(cells) - len(factors.get(q, ())) - len(up)
-        groups[q] = (betti, tuple(d for d in up if d > 1))
-    result = HomologyResult.of(groups)
-    sign = lambda q: -1 if q % 2 else 1
-    euler_cells = sum(
-        sign(q) * len(gens) for q, gens in complex_.generators.items()
-    )
-    euler_betti = sum(sign(q) * b for q, (b, _) in groups.items())
-    if euler_cells != euler_betti:
-        raise InvariantError(
-            "Euler characteristic mismatch: %d from cells, %d from Betti numbers"
-            % (euler_cells, euler_betti)
-        )
-    return result
+    first = dict(zip(degrees, starts))
+    euler = sum(-len(g) if q % 2 else len(g) for q, g in gens.items())
+    label = lambda q, c: gens[q][c - first[q]]
+    return _reduce(facets, coefficients, starts, degrees, label, euler)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +512,7 @@ class SimplicialComplex:
     Faces are nonempty sorted tuples of vertex indices, closed under taking
     nonempty subsets.  The empty complex (no faces) is allowed.
 
-    ``_table`` is the face table the Morse reduction reads, built by
+    ``_table`` is the face table ``simplicial_homology`` reads, built by
     ``_face_table``: cells ``()`` and then the faces level by level, each
     level in chain-enumeration order (by parent cell, then last vertex, so
     lexicographic for given faces), each cell's facets and the level starts.
@@ -559,53 +573,31 @@ class SimplicialComplex:
         return sum((-1) ** k * (s[k] - s[k + 1]) for k in range(1, len(s) - 1))
 
 
-def _morse_complex(complex_):
-    """The Morse complex of a coreduction matching on the augmented chains.
+def simplicial_homology(complex_):
+    """Reduced integral homology of the augmented simplicial chain complex.
 
-    Cells, ``()`` and then the faces level by level, and their facets come
-    from the complex's face table; the coefficients of a face's facets are
-    one shared alternating-sign tuple per face size, over that size's level.
-    ``_coreduce`` first pairs the augmentation cell with the first vertex,
-    and the matching depends on cell order: in the table's chain-enumeration
-    order, 45 of the 509,428 faces of the order complex of C_λ for
-    (1,2,3,4,5,6) stay critical, where an arbitrary order within each
-    dimension left 83.  Only critical cells are decoded, to label them, and
-    their Euler characteristic is checked against the faces'.
+    It is computed by ``_reduce`` on the complex's face table: cells ``()``
+    (the augmentation cell, degree -1) and then the faces level by level,
+    with their facets from the table and, as coefficients, one shared
+    alternating-sign tuple per face size.  ``_coreduce`` first pairs the
+    augmentation cell with the first vertex, and the matching depends on cell
+    order: in the table's chain-enumeration order, 45 of the 509,428 faces of
+    the order complex of C_λ for (1,2,3,4,5,6) stay critical, where an
+    arbitrary order within each dimension left 83.  A face is decoded only to
+    name an offender.  The Euler characteristic checked against the Betti
+    numbers is the faces', less 1 for the augmentation cell.
     """
     table = complex_._table
-    starts = table[2]
+    starts = table[2]  # a start per size 0..d+1, then the count
     coefficients = []
     for size in range(len(starts) - 1):
         signs = tuple(-1 if k & 1 else 1 for k in range(size))
         coefficients += [signs] * (starts[size + 1] - starts[size])
-    boundary = _coreduce(table[1], coefficients)
-    generators, boundaries, position = {}, {}, {}
-    for c, col in boundary.items():  # a column's cells come before its own
-        q = bisect_right(starts, c) - 2
-        gens = generators.setdefault(q, [])
-        position[c] = len(gens)
-        gens.append(_face(table, c) or "*")
-        if col:
-            boundaries.setdefault(q, {})[position[c]] = {
-                position[x]: v for x, v in col.items()
-            }
-    generators = {q: tuple(gens) for q, gens in generators.items()}
-    critical_euler = sum((-1) ** (q % 2) * len(g) for q, g in generators.items())
-    face_euler = complex_.euler_characteristic() - 1  # the augmentation cell
-    if critical_euler != face_euler:
-        raise InvariantError(
-            "Euler characteristic mismatch: %d from %d critical cells, %d from faces"
-            % (critical_euler, len(boundary), face_euler)
-        )
-    return ChainComplex(generators, boundaries)
-
-
-def simplicial_homology(complex_):
-    """Reduced integral homology of the augmented simplicial chain complex.
-
-    It is computed on the Morse complex of a coreduction matching (see
-    ``_morse_complex``), which is chain equivalent to the augmented chains;
-    ``chain_homology`` then checks d(d(x)) = 0 and the Euler characteristic on
-    it.
-    """
-    return chain_homology(_morse_complex(complex_))
+    return _reduce(
+        table[1],
+        coefficients,
+        starts[:-1],
+        range(-1, len(starts) - 2),
+        lambda q, c: _face(table, c) or "*",
+        complex_.euler_characteristic() - 1,
+    )

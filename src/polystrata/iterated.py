@@ -86,11 +86,6 @@ def _merged_levels(n, d, counts):
     )
 
 
-def from_merge_counts(n, d, counts):
-    """Inverse of merge_counts: position p is merged at the last counts[p] levels."""
-    return IteratedComposition(n, _merged_levels(n, d, counts))
-
-
 def iterated_poset(n, d):
     """All iterated compositions of n of degree d, ordered levelwise by inclusion.
 

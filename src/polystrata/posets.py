@@ -121,10 +121,6 @@ class Poset:
         keys = tuple(keys)
         return Poset(keys, {(i, i + 1) for i in range(len(keys) - 1)})
 
-    @staticmethod
-    def antichain(keys):
-        return Poset(tuple(keys), set())
-
     # -- basic queries -------------------------------------------------------
 
     def __len__(self):
@@ -157,10 +153,6 @@ class Poset:
     def leq(self, x, y):
         return x == y or self.lt(x, y)
 
-    def above(self, x):
-        """Strictly larger elements of x."""
-        return frozenset(self.elements[j] for j in _bits(self._above[self._index[x]]))
-
     def heights(self):
         """Length of the longest chain below each element (by index)."""
         if self._heights is None:
@@ -170,16 +162,6 @@ class Poset:
                     h[j] = max(h[j], h[i] + 1)
             self._heights = h
         return self._heights
-
-    def maximal_elements(self):
-        return tuple(
-            self.elements[i] for i in range(len(self.elements)) if not self._up[i]
-        )
-
-    def minimal_elements(self):
-        return tuple(
-            self.elements[i] for i in range(len(self.elements)) if not self._down[i]
-        )
 
     def dual(self):
         return Poset(self.elements, {(b, a) for a, b in self.covers})

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -21,7 +22,6 @@ from polystrata.homology import (
     SimplicialComplex,
     _face,
     _faces,
-    _morse_complex,
     chain_homology,
     simplicial_homology,
     smith_normal_form,
@@ -145,7 +145,7 @@ def augmented_chain_complex(complex_):
 
 
 def oracle_simplicial_homology(complex_):
-    return chain_homology(augmented_chain_complex(complex_))
+    return oracle_chain_homology(augmented_chain_complex(complex_))
 
 
 def reversed_labels(complex_):
@@ -242,18 +242,23 @@ def type_complexes(weight):
     return cases
 
 
-def checked_against_oracle(monkeypatch):
-    """Make every chain_homology call also compare with the oracle."""
+def spy_coreduce(monkeypatch):
+    """Record what every ``_coreduce`` call returns, in call order."""
     seen = []
-
-    def both(complex_):
-        result = chain_homology(complex_)
-        assert result == oracle_chain_homology(complex_)
-        seen.append(result)
-        return result
-
-    monkeypatch.setattr(homology, "chain_homology", both)
+    coreduce = homology._coreduce
+    monkeypatch.setattr(
+        homology, "_coreduce", lambda *a: seen.append(coreduce(*a)) or seen[-1]
+    )
     return seen
+
+
+def critical_counts(monkeypatch, complex_):
+    """Critical cells per degree of the one coreduction that
+    ``simplicial_homology`` runs, placed by the face table's level starts."""
+    seen = spy_coreduce(monkeypatch)
+    simplicial_homology(complex_)
+    (boundary,) = seen
+    return dict(Counter(bisect_right(complex_._table[2], c) - 2 for c in boundary))
 
 
 def unimodular(rng, n, steps):
@@ -429,11 +434,7 @@ class TestChainHomology:
         # cells a, b, e, f in degree order, d(e) = b - a and d(f) = 2a: f's
         # only facet has coefficient 2, so a is critical, e pairs with b, and
         # f is critical with boundary 2a
-        seen = []
-        coreduce = homology._coreduce
-        monkeypatch.setattr(
-            homology, "_coreduce", lambda *a: seen.append(coreduce(*a)) or seen[-1]
-        )
+        seen = spy_coreduce(monkeypatch)
         complex_ = ChainComplex(
             {0: ("a", "b"), 1: ("e", "f")}, {1: {0: {0: -1, 1: 1}, 1: {0: 2}}}
         )
@@ -504,29 +505,25 @@ class TestDegreeReduction:
                 complex_ = pol_chain_complex(partition, n)
                 assert chain_homology(complex_) == oracle_chain_homology(complex_)
 
-    # the Morse path against the whole augmented complex; ``reverse``
-    # renames the vertices, which changes the matching but not the homology
+    # the Morse path against the oracle on the whole augmented complex;
+    # ``reverse`` renames the vertices, which changes the matching but not
+    # the homology
     @pytest.mark.parametrize("reverse", [True, False])
     @pytest.mark.parametrize("weight", range(1, 9))
-    def test_order_complexes_match_oracle(self, monkeypatch, weight, reverse):
-        seen = checked_against_oracle(monkeypatch)
-        cases = type_complexes(weight)
-        for complex_, expected in cases:
+    def test_order_complexes_match_oracle(self, weight, reverse):
+        for complex_, expected in type_complexes(weight):
             if reverse:
                 complex_ = reversed_labels(complex_)
             assert simplicial_homology(complex_) == expected
-        assert len(seen) == len(cases)
 
     @pytest.mark.parametrize("reverse", [True, False])
-    def test_projective_plane_has_two_torsion(self, monkeypatch, reverse):
-        seen = checked_against_oracle(monkeypatch)
+    def test_projective_plane_has_two_torsion(self, reverse):
         expected = HomologyResult.of({1: (0, (2,))})
         for complex_ in projective_planes():
             if reverse:
                 complex_ = reversed_labels(complex_)
             assert simplicial_homology(complex_) == expected
             assert oracle_simplicial_homology(complex_) == expected
-        assert len(seen) == 3
 
     @given(
         st.lists(
@@ -592,7 +589,7 @@ class TestSimplicialComplex:
 
     def test_point_is_acyclic(self):
         point = SimplicialComplex.generated("a", [(0,)])
-        assert simplicial_homology(point).is_zero
+        assert simplicial_homology(point) == HomologyResult.of({})
 
     def test_two_points_are_a_zero_sphere(self):
         complex_ = SimplicialComplex.generated("ab", [(0,), (1,)])
@@ -726,8 +723,10 @@ class TestFaceTable:
                 assert order_complex(poset) != SimplicialComplex(poset.elements, fewer)
 
     def test_hyp_homology_builds_no_face_tuple_or_label(self, monkeypatch):
-        # only critical cells are decoded; all faces and labels when read
-        decoded, whole, labels = [], [], []
+        # no face is decoded to reduce a complex, even a critical one; all
+        # faces and labels are decoded when read
+        seen = spy_coreduce(monkeypatch)
+        decoded, whole, labels, critical = [], [], [], 0
         face, faces = homology._face, homology._faces
         mask = compositions._face_mask  # read once per label
         monkeypatch.setattr(homology, "_face", lambda t, c: decoded.append(c) or face(t, c))
@@ -736,18 +735,15 @@ class TestFaceTable:
         for partition in [(1, 2, 3), (1, 1, 2, 2), (1, 1, 1, 3), (1, 2, 3, 4)]:
             grown = order_complex(c_lambda_poset(partition))
             labeled = delta_lambda_complex(partition)
-            critical = sum(
-                len(gens)
-                for complex_ in (grown, labeled.complex)
-                for gens in _morse_complex(complex_).generators.values()
-            )
-            decoded.clear()
+            seen.clear()
             hyp_homology(partition)
-            assert len(decoded) == critical and whole == [] and labels == []
+            critical += sum(map(len, seen[1:]))  # those of the two simplicial runs
+            assert decoded == [] and whole == [] and labels == []
             assert len(labeled.labels) == len(labels) == len(labeled.complex.faces)
             assert len(grown.faces) == len(grown._table[0]) - 1 and len(whole) == 1
             whole.clear()
             labels.clear()
+        assert critical
 
 
 class TestMorseComplex:
@@ -757,57 +753,96 @@ class TestMorseComplex:
             assert simplicial_homology(complex_) == expected
             assert simplicial_homology(reversed_labels(complex_)) == expected
 
-    def test_simplex_leaves_no_critical_cells(self):
+    def test_simplex_leaves_no_critical_cells(self, monkeypatch):
         complex_ = SimplicialComplex.generated(range(5), [tuple(range(5))])
-        assert _morse_complex(complex_).generators == {}
+        assert critical_counts(monkeypatch, complex_) == {}
 
-    def test_empty_complex_keeps_the_augmentation_cell(self):
+    def test_empty_complex_keeps_the_augmentation_cell(self, monkeypatch):
         empty = SimplicialComplex((), frozenset())
-        assert _morse_complex(empty).generators == {-1: ("*",)}
+        assert critical_counts(monkeypatch, empty) == {-1: 1}
 
-    def test_matching_is_perfect_on_spheres(self):
+    def test_matching_is_perfect_on_spheres(self, monkeypatch):
         # boundary of the 4-simplex: 30 faces and the augmentation cell
         sphere = SimplicialComplex.generated(range(5), combinations(range(5), 4))
-        generators = _morse_complex(sphere).generators
-        assert {q: len(g) for q, g in generators.items()} == {3: 1}
+        assert critical_counts(monkeypatch, sphere) == {3: 1}
 
-    def test_matching_order_is_pinned(self):
+    def test_matching_order_is_pinned(self, monkeypatch):
         # the queue seeded with the vertices in index order pairs the
         # augmentation cell with the first vertex; the rest follows
         complex_ = order_complex(c_lambda_poset((1, 2, 3, 4, 5)))
-        generators = _morse_complex(complex_).generators
-        assert {q: len(g) for q, g in generators.items()} == {2: 6, 3: 6}
+        assert critical_counts(monkeypatch, complex_) == {2: 6, 3: 6}
 
     def test_euler_mismatch_raises(self, monkeypatch):
+        # the faces' Euler characteristic, less the augmentation cell, is
+        # checked against the Betti numbers: RP^2's reduced ones give 0
         monkeypatch.setattr(SimplicialComplex, "euler_characteristic", lambda self: 99)
         complex_ = SimplicialComplex.generated(range(6), RP2_FACETS)
-        with pytest.raises(InvariantError, match="critical cells, 98 from faces"):
+        with pytest.raises(InvariantError, match="98 from cells, 0 from Betti"):
             simplicial_homology(complex_)
 
-    def test_boundaries_match_sympy(self):
+    def test_critical_square_names_faces(self, monkeypatch):
+        # a coreduction whose Morse boundaries fail d(d(x)) = 0: the check
+        # on the critical cells decodes faces only to name the offender
+        complex_ = SimplicialComplex.generated(range(2), [(0, 1)])  # (), 0, 1, 01
+        monkeypatch.setattr(homology, "_coreduce", lambda *a: {0: {}, 1: {0: 1}, 3: {1: 1}})
+        with pytest.raises(BoundarySquareError) as info:
+            simplicial_homology(complex_)
+        assert str(info.value) == "d(d((0, 1))) = {'*': 1} is nonzero"
+
+    def test_critical_square_names_generators(self, monkeypatch):
+        complex_ = ChainComplex({3: ("x",), 4: ("y",), 5: ("z",)}, {})
+        monkeypatch.setattr(homology, "_coreduce", lambda *a: {0: {}, 1: {0: 2}, 2: {1: 1}})
+        with pytest.raises(BoundarySquareError) as info:
+            chain_homology(complex_)
+        assert str(info.value) == "d(d('z')) = {'x': 2} is nonzero"
+
+    def test_boundaries_match_sympy(self, monkeypatch):
+        # every matrix the reduction hands to the Smith core, against sympy
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import invariant_factors
 
+        matrices = []
+        snf = homology.smith_normal_form
+        monkeypatch.setattr(
+            homology, "smith_normal_form", lambda m: matrices.append(m) or snf(m)
+        )
         complexes = list(random_complexes(11)) + projective_planes()
         for weight in range(1, 7):
             for partition in partitions_of(weight):
                 complexes.append(order_complex(c_lambda_poset(partition)))
-        checked = 0
         for complex_ in complexes:
-            morse = _morse_complex(complex_)
-            for q, cols in morse.boundaries.items():
-                nrows = len(morse.generators[q - 1])
-                ncols = len(morse.generators[q])
-                matrix = [
-                    [cols.get(c, {}).get(r, 0) for c in range(ncols)]
-                    for r in range(nrows)
-                ]
-                theirs = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
-                assert smith_normal_form(matrix) == tuple(
-                    abs(int(d)) for d in theirs if d
-                )
-                checked += 1
-        assert checked
+            simplicial_homology(complex_)
+        for matrix in matrices:
+            theirs = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+            assert snf(matrix) == tuple(abs(int(d)) for d in theirs if d)
+        assert matrices
+
+
+class TestSinglePass:
+    def test_one_coreduction_per_chain_complex(self, monkeypatch):
+        seen = spy_coreduce(monkeypatch)
+        for partition, n in [((), 2), ((1, 1), 4), ((1, 1, 2), 6), ((1,) * 8, 12)]:
+            seen.clear()
+            chain_homology(pol_chain_complex(partition, n))
+            assert len(seen) == 1
+
+    def test_one_coreduction_per_simplicial_complex(self, monkeypatch):
+        seen = spy_coreduce(monkeypatch)
+        complexes = [SimplicialComplex((), frozenset())] + projective_planes()
+        for partition in [(1, 2), (1, 2, 3), (1, 1, 2, 2), (1, 2, 3, 4)]:
+            complexes.append(order_complex(c_lambda_poset(partition)))
+            complexes.append(delta_lambda_complex(partition).complex)
+        for complex_ in complexes:
+            seen.clear()
+            simplicial_homology(complex_)
+            assert len(seen) == 1
+
+    @pytest.mark.parametrize("partition", [(1, 2), (2, 2), (1, 2, 3), (1, 1, 2, 2)])
+    def test_three_coreductions_per_hyp_call(self, monkeypatch, partition):
+        # one per pipeline: cells, order complex and delta
+        seen = spy_coreduce(monkeypatch)
+        hyp_homology(partition)
+        assert len(seen) == 3
 
 
 class TestHomologyResult:
@@ -826,7 +861,6 @@ class TestHomologyResult:
         assert result.betti(2) == 3
         assert result.betti(1) == 0
         assert result.torsion(2) == (2, 4)
-        assert not result.is_zero
         assert "H_2" in str(result)
 
     def test_json_round_trip(self):

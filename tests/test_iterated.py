@@ -10,7 +10,6 @@ from polystrata.compositions import c_lambda_poset, merged_set, positions
 from polystrata.iterated import (
     IteratedComposition,
     c_lambda_d_poset,
-    from_merge_counts,
     iterated_poset,
 )
 from polystrata.posets import (
@@ -20,6 +19,12 @@ from polystrata.posets import (
     product_of_chains,
 )
 from polystrata.verify import partitions_of
+
+
+def from_merge_counts(n, d, counts):
+    """Oracle: position p is merged at the last counts[p - 1] of d levels."""
+    levels = [[p for p in range(1, n) if counts[p - 1] >= d - s] for s in range(d)]
+    return IteratedComposition(n, levels)
 
 
 def counts_strategy(n, d):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polystrata.compositions import c_lambda_poset, coarsening_poset
 from polystrata.homology import (
+    HomologyResult,
     SimplicialComplex,
     _faces,
     simplicial_homology,
@@ -89,7 +90,7 @@ class TestPosetConstruction:
     def test_chain_and_antichain(self):
         chain = Poset.chain("abc")
         assert chain.lt("a", "c")
-        anti = Poset.antichain("abc")
+        anti = Poset("abc", ())
         assert not anti.covers
 
 
@@ -99,12 +100,13 @@ class TestPosetQueries:
         assert poset.leq(2, 2)
         assert poset.lt(2, 12)
         assert not poset.lt(4, 6)
-        assert poset.above(4) == frozenset({12})
+        assert {y for y in poset.elements if poset.lt(4, y)} == {12}
 
     def test_extremes_and_heights(self):
         poset = divisor_poset(12)
-        assert poset.minimal_elements() == (1,)
-        assert poset.maximal_elements() == (12,)
+        elements = poset.elements
+        assert [x for x in elements if not any(poset.lt(y, x) for y in elements)] == [1]
+        assert [x for x in elements if not any(poset.lt(x, y) for y in elements)] == [12]
         heights = dict(zip(poset.elements, poset.heights()))
         assert heights[1] == 0 and heights[12] == 3
 
@@ -129,10 +131,10 @@ class TestOrderComplex:
     def test_chain_gives_full_simplex(self):
         complex_ = order_complex(Poset.chain("abc"))
         assert max(len(f) for f in complex_.faces) == 3
-        assert simplicial_homology(complex_).is_zero
+        assert simplicial_homology(complex_) == HomologyResult.of({})
 
     def test_antichain_gives_points(self):
-        complex_ = order_complex(Poset.antichain("ab"))
+        complex_ = order_complex(Poset("ab", ()))
         assert simplicial_homology(complex_) == sphere_homology(0)
 
     def test_boolean_lattice_minus_bounds_is_sphere(self):
@@ -181,7 +183,7 @@ class TestOrderComplexOracle:
 
     @pytest.mark.parametrize("n", range(7))
     def test_chains_and_antichains(self, n):
-        chain, antichain = Poset.chain(range(n)), Poset.antichain(range(n))
+        chain, antichain = Poset.chain(range(n)), Poset(range(n), ())
         assert order_complex(chain).faces == comparable_subsets(chain)
         assert len(order_complex(chain).faces) == 2**n - 1
         assert order_complex(antichain).faces == {(i,) for i in range(n)}
@@ -211,7 +213,7 @@ def table_posets():
     once = face_poset(rp2)  # its order complex: the barycentric subdivision
     posets = {
         "chain": Poset.chain(range(5)),
-        "antichain": Poset.antichain(range(4)),
+        "antichain": Poset(range(4), ()),
         "empty": Poset((), ()),
         "rp2-faces": once,
         "rp2-once-faces": face_poset(order_complex(once)),
@@ -270,7 +272,7 @@ class TestGroupAction:
             GroupAction(poset, [(1, 0)])
 
     def test_orbits(self):
-        poset = Poset.antichain("abcd")
+        poset = Poset("abcd", ())
         action = GroupAction(poset, [(1, 0, 2, 3), (0, 1, 3, 2)])
         assert action.orbits() == [(0, 1), (2, 3)]
 

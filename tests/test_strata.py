@@ -352,7 +352,9 @@ class TestClosurePoset:
 
     def test_maximal_elements_are_type_cells(self):
         poset = closure_poset((1, 2), 3)
-        assert {c.parts for c in poset.maximal_elements()} == {(1, 2), (2, 1)}
+        cells = poset.elements
+        maximal = [c for c in cells if not any(poset.lt(c, y) for y in cells)]
+        assert {c.parts for c in maximal} == {(1, 2), (2, 1)}
 
 
 class TestComplement:
@@ -366,7 +368,7 @@ class TestComplement:
             complement_cohomology((1,), 1)
 
     def test_elliptic_region_complement_is_contractible(self):
-        assert complement_cohomology((), 2).is_zero
+        assert complement_cohomology((), 2) == HomologyResult.of({})
 
     def test_linking_a_curve_in_three_space(self):
         result = complement_cohomology((3,), 3)
