@@ -35,7 +35,6 @@ from .permutahedron import (
 from .posets import (
     GroupAction,
     Poset,
-    are_isomorphic,
     closure_image,
     order_complex,
     product_of_chains,

@@ -159,7 +159,7 @@ SUITE_OPTIONS = {
 @click.option("--l", "l_max", type=int, default=None)
 @click.option("--n-max", type=int, default=None)
 @click.option("--max-weight", type=int, default=None)
-@format_option
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @quiet_option
 @_guard
 def verify(suite, n_range, k_range, l_max, n_max, max_weight, fmt, quiet):

@@ -22,7 +22,7 @@ from operator import and_, index
 
 from .homology import HomologyResult, SimplicialComplex, simplicial_homology
 from .posets import (
-    are_isomorphic,
+    check_isomorphism,
     closure_image,
     face_poset,
     inclusion_poset,
@@ -267,9 +267,11 @@ def closure_collapse_report(partition):
     """Collapse the face poset of the partial-sum complex onto its facet skeleton.
 
     The operator sends a face to the intersection of all facets containing it;
-    this is a closure operator on the inclusion-ordered face poset, and its
-    image must be the coarsening poset with the order reversed, with equal
-    reduced homology of the order complexes on both sides.
+    this is a closure operator on the inclusion-ordered face poset.  Its image
+    must be C_lambda with the order reversed, through the map sending a face
+    to the composition with those partial sums; that map is the certificate,
+    checked with ``check_isomorphism``.  The order complexes on both sides
+    must have equal reduced homology.
     """
     partition = as_partition(partition)
     delta = delta_lambda_complex(partition)
@@ -283,10 +285,14 @@ def closure_collapse_report(partition):
 
     image = closure_image(faces, closure)
     c_poset = c_lambda_poset(partition)
-    iso = are_isomorphic(image, c_poset.dual())
+    n = weight(partition)
+    iso = {
+        face: composition_from_partial_sums(n, _face_mask(face))
+        for face in image.elements
+    }
     return CollapseReport(
         partition,
-        iso,
+        iso if check_isomorphism(image, c_poset.dual(), iso) else None,
         simplicial_homology(order_complex(faces)),
         simplicial_homology(order_complex(c_poset)),
     )

@@ -5,6 +5,10 @@ cover relation on indices; the strict order is derived on construction as
 int index masks (bit j of ``_above[i]`` is set iff element i < element j).
 Orders given as relations reach their covers through one transitive
 reduction, ``Poset._from_below``.  All values are immutable.
+
+An isomorphism is certified only as a given map: ``check_isomorphism`` tests
+that it is a bijection carrying covers exactly onto covers.  Nothing here
+searches for one.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .homology import InvariantError, SimplicialComplex, _face_table, _faces
+from .homology import SimplicialComplex, _face_table, _faces
 
 
 class PosetError(Exception):
@@ -41,7 +45,7 @@ def _bits(mask):
 
 
 class Poset:
-    __slots__ = ("elements", "covers", "_index", "_up", "_down", "_above", "_heights")
+    __slots__ = ("elements", "covers", "_index", "_up", "_above", "_heights")
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
@@ -57,10 +61,8 @@ class Poset:
                 raise PosetError("reflexive cover (%d, %d)" % (a, b))
         self.covers = covers
         self._up = [[] for _ in range(n)]
-        self._down = [[] for _ in range(n)]
         for a, b in sorted(covers):
             self._up[a].append(b)
-            self._down[b].append(a)
         above = [0] * n
         for a in reversed(self._topological_order()):
             covered = implied = 0
@@ -364,27 +366,7 @@ def closure_image(poset, f):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism testing
-
-
-def _refine_colors(poset, colors):
-    """Iterated neighborhood refinement of vertex colors on the Hasse diagram."""
-    n = len(poset.elements)
-    up, down = poset._up, poset._down
-    while True:
-        signatures = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in up[i])),
-                tuple(sorted(colors[j] for j in down[i])),
-            )
-            for i in range(n)
-        ]
-        palette = {sig: c for c, sig in enumerate(sorted(set(signatures)))}
-        new = [palette[sig] for sig in signatures]
-        if new == colors:
-            return colors
-        colors = new
+# Isomorphism certificates
 
 
 def check_isomorphism(p, q, mapping):
@@ -399,91 +381,3 @@ def check_isomorphism(p, q, mapping):
     }
     return mapped == q.covers
 
-
-def are_isomorphic(p, q):
-    """An order-isomorphism P -> Q as a key dict, or None.
-
-    Backtracking seeded by height and iterated degree refinement; the found
-    mapping is re-verified to preserve and reflect covers before returning.
-    The search has no component or automorphism pruning, so it is
-    exponential on non-isomorphic posets that colour refinement cannot
-    separate: crowns (height-one posets whose Hasse diagrams are unions of
-    even cycles) with cycles of (2,2,2,2,4) against (2,2,2,2,2,2) minimal
-    elements, 24 elements each, take about 15 s.  Only small posets built
-    inside the package reach it: the iterated posets of at most 81 elements
-    in the ``chain-product`` suite, and the collapse image against the dual
-    C_λ in ``closure_collapse_report``.
-    """
-    n = len(p.elements)
-    if n != len(q.elements) or len(p.covers) != len(q.covers):
-        return None
-    pc = _refine_colors(p, [h for h in p.heights()])
-    qc = _refine_colors(q, [h for h in q.heights()])
-    if sorted(pc) != sorted(qc):
-        return None
-    up_p, down_p, up_q, down_q = p._up, p._down, q._up, q._down
-    q_by_color = {}
-    for j, c in enumerate(qc):
-        q_by_color.setdefault(c, []).append(j)
-    assignment = [None] * n
-    used = [False] * n
-    mapped = [0] * n  # assigned cover neighbours of each element of P
-
-    def pick_next():
-        # most constrained first: many mapped neighbors, then rare color
-        best, best_key = None, None
-        for i in range(n):
-            if assignment[i] is None:
-                key = (-mapped[i], len(q_by_color[pc[i]]), i)
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
-        return best
-
-    def candidates(i):
-        # intersect neighbor images where available, else the color class
-        cand = None
-        for b in up_p[i]:
-            jj = assignment[b]
-            if jj is not None:
-                s = set(down_q[jj])
-                cand = s if cand is None else cand & s
-        for a in down_p[i]:
-            jj = assignment[a]
-            if jj is not None:
-                s = set(up_q[jj])
-                cand = s if cand is None else cand & s
-        if cand is None:
-            cand = set(q_by_color[pc[i]])
-        return sorted(j for j in cand if not used[j] and qc[j] == pc[i])
-
-    def place(i, j, step):
-        """Map i to j (step 1) or take that back (step -1)."""
-        assignment[i] = j if step > 0 else None
-        used[j] = step > 0
-        for x in up_p[i] + down_p[i]:
-            mapped[x] += step
-
-    # depth-first search on an explicit stack of (element, untried images)
-    stack = []
-    advance = True
-    while True:
-        if advance:
-            if len(stack) == n:
-                break
-            i = pick_next()
-            stack.append((i, iter(candidates(i))))
-        i, untried = stack[-1]
-        if assignment[i] is not None:
-            place(i, assignment[i], -1)
-        j = next(untried, None)
-        advance = j is not None
-        if advance:
-            place(i, j, 1)
-        else:
-            stack.pop()
-            if not stack:
-                return None
-    mapping = {p.elements[i]: q.elements[assignment[i]] for i in range(n)}
-    if not check_isomorphism(p, q, mapping):
-        raise InvariantError("found mapping is not an isomorphism")
-    return mapping

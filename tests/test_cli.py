@@ -163,6 +163,15 @@ class TestVerify:
         assert data["passed"] is True
         assert all(c["match"] for c in data["cases"])
 
+    def test_csv_format_is_usage_error(self, runner):
+        # verify reports as text or json only
+        result = runner.invoke(
+            cli.main, ["verify", "hook", "--n", "2..3", "--format", "csv"]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--format'" in result.stderr
+        assert result.stdout == ""
+
     def test_unknown_suite_rejected(self, runner):
         result = runner.invoke(cli.main, ["verify", "nope"])
         assert result.exit_code != 0
@@ -534,7 +543,10 @@ def test_simplicial_pipeline_golden_digest(runner, args, digest):
 # per module, a statement run in its namespace that makes one of its checks fail
 BREAK_CHECK = {
     "polystrata.iterated": "check_isomorphism = lambda *a: False",
-    "polystrata.posets": "check_isomorphism = lambda *a: False",
+    "polystrata.posets": (
+        "Poset._from_below = staticmethod(lambda elements, below: Poset(elements,"
+        " [(j, i) for i, d in enumerate(below) for j in _bits(d)]))"
+    ),
     "polystrata.homology": "SimplicialComplex.euler_characteristic = lambda self: 99",
     "polystrata.strata": "_faces = (lambda f: lambda key, n: f(key, n, True))(_faces)",
 }
@@ -544,7 +556,7 @@ BREAK_CHECK = {
     "module,args",
     [
         ("polystrata.iterated", ["export", "iterated", "--n", "3", "--d", "2"]),
-        ("polystrata.posets", ["verify", "prop-3-11"]),
+        ("polystrata.posets", ["export", "clambda", "--lambda", "1,2,3,4"]),
         ("polystrata.homology", ["order-complex", "--lambda", "1,2,3"]),
         ("polystrata.strata", ["pol", "--lambda", "1,1", "--n", "4"]),
     ],

@@ -26,7 +26,8 @@ from polystrata.compositions import (
     weight,
 )
 from polystrata.homology import HomologyResult, simplicial_homology, sphere_homology
-from polystrata.posets import are_isomorphic, order_complex
+from polystrata.posets import order_complex
+from polystrata.verify import partitions_of
 
 compositions = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(tuple)
 
@@ -213,10 +214,15 @@ class TestSetPartitions:
 class TestCoarseningPosets:
     def test_distinct_parts_gives_full_coarsening_poset(self):
         # every coarsening of every ordering appears; the two posets agree
-        partition = (1, 2, 3)
-        union_poset = c_lambda_poset(partition)
-        up_closure = coarsening_poset(partition)
-        assert are_isomorphic(union_poset, up_closure) is not None
+        distinct = [
+            p for n in range(1, 11) for p in partitions_of(n) if len(set(p)) == len(p)
+        ]
+        assert len(distinct) == 42
+        for partition in distinct:
+            union_poset = c_lambda_poset(partition)
+            up_closure = coarsening_poset(partition)
+            assert union_poset.elements == up_closure.elements, partition
+            assert union_poset.covers == up_closure.covers, partition
 
     def test_repeated_part_posets_differ(self):
         union_poset = c_lambda_poset((1, 1, 3))
@@ -287,6 +293,16 @@ class TestClosureCollapse:
         report = closure_collapse_report(partition)
         assert report.passed
         assert report.homology_match
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_isomorphism_is_the_partial_sum_map(self, n):
+        # a face of Delta_lambda goes to the composition with those partial sums
+        for partition in partitions_of(n):
+            expected = {
+                tuple(p - 1 for p in positions(partial_sums(c))): c
+                for c in c_lambda_poset(partition).elements
+            }
+            assert closure_collapse_report(partition).isomorphism == expected
 
     def test_face_poset_matches_delta_homology(self):
         partition = (1, 1, 3)
