@@ -8,6 +8,8 @@ the refinement order into plain set inclusion.
 
 Merged and partial-sum sets are ints over n - 1 bits, bit p - 1 standing for
 position p: inclusion is ``not a & ~b`` and coarsening is a submask walk.
+Every decoder reads the binary string ``bin(mask)[:1:-1]``, bit 0 first; so
+does ``strata``, which reads its cell keys with ``_parts`` and ``_mask_order``.
 
 Here live the two posets of a type, without the one-part composition: the
 unions of the merged sets of its compositions (C_lambda), and all coarsenings
@@ -79,7 +81,23 @@ def multiplicities(partition):
 
 def positions(mask):
     """The positions in a mask, ascending (bit p - 1 is position p)."""
-    return tuple(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
+    return tuple([p for p, c in enumerate(bin(mask)[:1:-1], 1) if c == "1"])
+
+
+def _parts(key):
+    """The composition whose boundary set is ``key``: bit 0, bit p for each
+    partial sum p and bit n.  From bit 0 up, part a reads 1 then a - 1 zeros."""
+    return tuple([len(z) + 1 for z in bin(key)[:1:-1].split("1")[1:-1]])
+
+
+_SWAP = str.maketrans("01", "10")
+
+
+def _mask_order(mask):
+    """The bits from bit 0 up, 0 and 1 swapped: the positions' order on masks
+    of one size (not across sizes: 0 sorts after 1), composition order on
+    boundary sets (a part a reads 0 then a - 1 ones)."""
+    return bin(mask)[:1:-1].translate(_SWAP)
 
 
 def submasks(mask):
@@ -94,7 +112,7 @@ def submasks(mask):
 
 def _by_size(mask):
     """Sort key: fewer positions first, then the positions lexicographically."""
-    return mask.bit_count(), positions(mask)
+    return mask.bit_count(), _mask_order(mask)
 
 
 def partial_sums(parts):
@@ -114,8 +132,7 @@ def merged_set(parts):
 def composition_from_partial_sums(n, sums):
     if sums < 0 or sums >> (n - 1):
         raise ValueError("positions must lie in 1..%d" % (n - 1))
-    bounds = (0,) + positions(sums) + (n,)
-    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    return _parts(1 | sums << 1 | 1 << n)
 
 
 def composition_from_merged_set(n, mask):

@@ -79,6 +79,14 @@ class IteratedComposition:
         )
 
 
+def _unchecked(n, levels):
+    """An element whose levels are sorted, nested and in range by construction."""
+    e = object.__new__(IteratedComposition)
+    object.__setattr__(e, "ambient", n)
+    object.__setattr__(e, "levels", levels)
+    return e
+
+
 def _merged_levels(n, d, counts):
     """The d levels merging position p at the last counts[p - 1] of them."""
     return tuple(
@@ -102,11 +110,7 @@ def iterated_poset(n, d):
     elements = []
     for i, k in enumerate(order):
         rank[k] = i
-        # levels are sorted, nested and in range by construction
-        e = object.__new__(IteratedComposition)
-        object.__setattr__(e, "ambient", n)
-        object.__setattr__(e, "levels", levels[k])
-        elements.append(e)
+        elements.append(_unchecked(n, levels[k]))
     steps = [(d + 1) ** (n - 2 - p) for p in range(n - 1)]
     covers = [
         (rank[k], rank[k + step])
@@ -127,7 +131,8 @@ def c_lambda_d_poset(partition, d):
     Levelwise unions of constant chains are constant, so the closure is the
     union closure of the type merged sets, placed diagonally at every level.
     The tuple that is fully merged at every level is dropped; for d = 1 this
-    reproduces C_lambda (``c_lambda_poset``).
+    reproduces C_lambda (``c_lambda_poset``).  Elements sort by positions
+    (``_mask_order`` puts the empty set after {1}) and are built unchecked.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -136,5 +141,5 @@ def c_lambda_d_poset(partition, d):
     closure = union_closure(type_merged_sets(partition))
     closure.discard((1 << (n - 1)) - 1)
     masks = sorted(closure, key=positions)
-    elements = [IteratedComposition(n, (positions(u),) * d) for u in masks]
+    elements = [_unchecked(n, (positions(u),) * d) for u in masks]
     return inclusion_poset(elements, masks)

@@ -287,11 +287,12 @@ def inclusion_poset(keys, masks):
 
     Below mask m lie the elements with no bit outside m: all elements but the
     OR, over the bits outside m, of the index masks of those having that bit.
+    Those index masks are the columns of the masks' binary strings, read with
+    one transpose: last element first, so that element i is bit i.
     """
     width = max(masks, default=0).bit_length()
-    having = [
-        sum(1 << i for i, m in enumerate(masks) if m >> b & 1) for b in range(width)
-    ]
+    rows = [bin(m)[2:].zfill(width) for m in reversed(masks)] if width else ()
+    having = [int("".join(col), 2) for col in zip(*rows)][::-1]
     every = (1 << len(masks)) - 1
     below = []
     for i, m in enumerate(masks):

@@ -11,8 +11,8 @@ Inside a closure a cell is keyed by one int, its boundary set: bit b is set
 iff b is 0, a partial sum or the weight m, so the empty cell is 1, m is the
 highest bit and t is one less than the number of bits.  A merge clears an
 inner bit; inserting a 2 at boundary b keeps the bits up to b and shifts the
-rest up by 2.  ``StratumCell`` labels a cell, and a chain complex builds
-labels only when they are read.
+rest up by 2.  ``StratumCell`` labels a cell, its parts read off the key by
+``compositions._parts``; a chain complex builds labels only when read.
 
 A closure is walked once, from the type's cells, and the walk records each
 cell's moves in a table, checking as it goes that every move drops the
@@ -36,6 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import compositions as comps
+from .compositions import _mask_order, _parts
 from .homology import ChainComplex, HomologyResult, InvariantError, chain_homology
 from .posets import Poset
 
@@ -74,15 +75,6 @@ class StratumCell:
 def _key(parts):
     """The boundary set of a composition."""
     return 1 | comps.partial_sums(parts) << 1 | 1 << sum(parts)
-
-
-def _parts(key):
-    """The composition whose boundary set is ``key``.
-
-    Read from bit 0 up, ``key`` is a 1 at each boundary, and a part a is a 1
-    followed by a - 1 zeros.
-    """
-    return tuple([len(z) + 1 for z in bin(key)[:1:-1].split("1")[1:-1]])
 
 
 def _dimension(key, n):
@@ -177,15 +169,6 @@ def boundary_of_chain(chain, literal_parity=False):
     return {c: v for c, v in out.items() if v}
 
 
-_SWAP = str.maketrans("01", "10")
-
-
-def _parts_order(key):
-    """A sort key in composition order: from bit 0 up, 0 and 1 swapped, each
-    part a reads 0 and a - 1 ones, and the string ends in a 0."""
-    return bin(key)[:1:-1].translate(_SWAP)
-
-
 class _Cells(Sequence):
     """One degree's generators: cell keys, labelled as ``StratumCell`` when read."""
 
@@ -209,7 +192,7 @@ def pol_chain_complex(partition, n):
     """
     table = _closure(partition, n)
     by_dim = {}
-    for key in sorted(table, key=_parts_order):
+    for key in sorted(table, key=_mask_order):
         by_dim.setdefault(_dimension(key, n), []).append(key)
     boundaries = {}
     for d, keys in by_dim.items():
@@ -234,7 +217,7 @@ def pol_homology(partition, n):
 def closure_poset(partition, n):
     """The closure cells ordered by boundary containment (for export)."""
     table = _closure(partition, n)
-    keys = sorted(table, key=lambda k: (-_dimension(k, n), _parts_order(k)))
+    keys = sorted(table, key=lambda k: (-_dimension(k, n), _mask_order(k)))
     index = {key: i for i, key in enumerate(keys)}
     covers = {
         (index[t], index[key]) for key, moves in table.items() for t in moves[::2]

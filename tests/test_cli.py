@@ -382,6 +382,20 @@ class TestExport:
                 ["iterated", "--n", "5", "--d", "3", "--format", "dot"],
                 "8146398724817dc94ad633d1824d299d3e65e7b43bba61a2d7036c369eeaeee7",
             ),
+            (
+                # the poset-export top rung, C_{lambda,2} of (1,1,2,5,5)
+                ["clambda", "--lambda", "1,1,2,5,5", "--d", "2", "--format", "json"],
+                "71c7237cb0f23a4ae679fd863bd1a43a3d7e1123f967ff343aafa35b810de519",
+            ),
+            (
+                ["clambda", "--lambda", "1,1,2,5,5", "--d", "2", "--format", "dot"],
+                "10bf907b9b6f9c2a4f16419682c2e2eca222c9583acc1ac15ceb57e462971d37",
+            ),
+            (
+                # 1,582 elements
+                ["clambda", "--lambda", "1,1,2,3,4,5", "--format", "json"],
+                "4f5f20513e81ad80b4332b4f12380c9160d0f6d503440b266937593d96b2d297",
+            ),
         ],
     )
     def test_golden_digest(self, runner, args, digest):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystrata.compositions import (
+    _by_size,
+    _mask_order,
     as_composition,
     as_partition,
     c_lambda_poset,
@@ -129,6 +132,61 @@ class TestMergedSets:
             composition_from_merged_set(3, 0b100)
         with pytest.raises(ValueError):
             composition_from_partial_sums(3, 0b100)
+
+
+# ---------------------------------------------------------------------------
+# The per-bit decoders that reading binary strings replaced, kept as oracles
+
+
+def positions_oracle(mask):
+    return tuple(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+def from_partial_sums_oracle(n, sums):
+    if sums < 0 or sums >> (n - 1):
+        raise ValueError("positions must lie in 1..%d" % (n - 1))
+    bounds = (0,) + positions_oracle(sums) + (n,)
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def by_size_oracle(mask):
+    return mask.bit_count(), positions_oracle(mask)
+
+
+class TestDecoders:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_match_per_bit_oracles(self, n):
+        masks = range(2 ** (n - 1))
+        full = masks[-1]
+        for m in masks:
+            assert positions(m) == positions_oracle(m)
+            assert composition_from_partial_sums(n, m) == from_partial_sums_oracle(n, m)
+            assert composition_from_merged_set(n, m) == from_partial_sums_oracle(
+                n, full ^ m
+            )
+        assert sorted(masks, key=_by_size) == sorted(masks, key=by_size_oracle)
+
+    def test_mask_order_sorts_one_size_by_positions(self):
+        by_size = {}
+        for m in range(2**12):
+            by_size.setdefault(m.bit_count(), []).append(m)
+        for masks in by_size.values():
+            assert sorted(masks, key=_mask_order) == sorted(masks, key=positions_oracle)
+        # across sizes it does not: 0 sorts after (1,), hence positions as the
+        # sort key of c_lambda_d_poset
+        assert _mask_order(0) > _mask_order(1)
+        assert positions(0) < positions(1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_out_of_range_messages(self, n):
+        for sums in (-1, -6, 2 ** (n - 1), 2 ** (n - 1) + 3, 2**n, 2 ** (n + 3)):
+            with pytest.raises(ValueError) as expected:
+                from_partial_sums_oracle(n, sums)
+            message = re.escape(str(expected.value))
+            with pytest.raises(ValueError, match="^%s$" % message):
+                composition_from_partial_sums(n, sums)
+            with pytest.raises(ValueError, match="^%s$" % message):
+                composition_from_merged_set(n, ((1 << (n - 1)) - 1) ^ sums)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,22 @@ class TestCLambdaD:
         with pytest.raises(ValueError):
             c_lambda_d_poset((1, 2), 0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unchecked_elements_pass_the_constructor(self, d):
+        # elements built unchecked from masks equal those the validating
+        # constructor makes from the same levels, in positions order
+        for n in range(1, 9):
+            for partition in partitions_of(n):
+                elements = c_lambda_d_poset(partition, d).elements
+                rebuilt = tuple(IteratedComposition(n, e.levels) for e in elements)
+                assert rebuilt == elements, (partition, d)
+                assert all(type(p) is int for e in elements for a in e.levels for p in a)
+                assert all(e.ambient == n and e.levels == (e.levels[0],) * d for e in elements)
+                levels = [e.levels[0] for e in elements]
+                assert levels == sorted(levels)
+                flat = c_lambda_poset(partition).elements
+                assert set(levels) == {positions(merged_set(c)) for c in flat}
+
     def test_elements_are_constant_chains_of_unions(self):
         poset = c_lambda_d_poset((1, 2), 2)
         for e in poset.elements:

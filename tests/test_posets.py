@@ -85,6 +85,29 @@ class TestPosetConstruction:
         reference = Poset.from_le(keys, lambda x, y: not m[x] & ~m[y])
         assert inclusion_poset(keys, masks).covers == reference.covers
 
+    @given(st.lists(st.integers(0, 127), max_size=24, unique=True), st.booleans())
+    @example([], False)
+    @example([0], False)
+    @example([1, 0], False)
+    @example([0b10, 0b1, 0, 0b11], False)
+    @settings(max_examples=80, deadline=None)
+    def test_inclusion_poset_covers_are_the_hasse_diagram(self, masks, by_positions):
+        # the positions-lex order of c_lambda_d_poset, not by size: 0b100
+        # comes after the larger 0b011
+        if by_positions:
+            masks.sort(key=lambda m: [b for b in range(7) if m >> b & 1])
+
+        def below(a, b):
+            return a != b and not a & ~b
+
+        hasse = {
+            (i, j)
+            for i, a in enumerate(masks)
+            for j, b in enumerate(masks)
+            if below(a, b) and not any(below(a, c) and below(c, b) for c in masks)
+        }
+        assert inclusion_poset(masks, masks).covers == hasse
+
     def test_chain_and_antichain(self):
         chain = Poset.chain("abc")
         assert chain.lt("a", "c")

@@ -282,7 +282,7 @@ class TestAgainstOracle:
     def test_parts_order_matches_parts(self):
         # every boundary set below 2**14, sorted by its string and by its parts
         keys = range(1, 2**14, 2)
-        assert sorted(keys, key=strata._parts_order) == sorted(keys, key=strata._parts)
+        assert sorted(keys, key=strata._mask_order) == sorted(keys, key=strata._parts)
 
     def test_one_label_per_cell(self, monkeypatch):
         # no label to build and reduce the complex; one per cell once all are read
