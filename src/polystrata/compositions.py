@@ -211,7 +211,7 @@ def coarsening_poset(partition):
     full = (1 << (n - 1)) - 1
     masks = set()
     for c in compositions_of_type(partition):
-        masks.update(merged_set(c) | s for s in submasks(partial_sums(c)))
+        masks.update(map(merged_set(c).__or__, submasks(partial_sums(c))))
     masks.discard(full)
     return _poset_of_merged_sets(n, masks)
 

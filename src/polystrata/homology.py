@@ -8,7 +8,7 @@ equivalent to the input and usually a few dozen cells where the input has
 thousands or hundreds of thousands.  It checks d(d(x)) = 0 on the critical
 cells, reduces each degree's boundary between them with a dense Smith core,
 and checks the cells' Euler characteristic against the Betti numbers.  A
-graded chain complex feeds it its columns; a simplicial complex feeds it its
+graded chain complex feeds it its cell table; a simplicial complex feeds it its
 augmented chains from a face table, which one routine builds from faces fed
 level by level as (parent face, new last vertex) pairs and which stores each
 face as that last vertex and the indices of its facets: facets are found
@@ -22,11 +22,11 @@ reduced homology group Z in degree -1; a point has none.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from operator import lt
+from itertools import accumulate, chain, combinations, compress
+from operator import index, lt
 
 
 class InvariantError(Exception):
@@ -196,69 +196,124 @@ def suspension_shift(result, k):
 class ChainComplex:
     """Graded free Z-complex: per-degree generator labels and boundary columns.
 
-    ``boundaries[q]`` maps the index of a degree-q generator to a dict
-    {index in degree q-1: coefficient}.  The complex keeps the generator
-    sequences and the column dicts as given, without copying them, so the
-    caller must not change them afterwards; it reads a label only to name
-    an offender.  d(d(x)) = 0 is checked on construction.
+    Its one stored form is ``_table``: the cells of all degrees numbered in
+    degree order, each cell's facet indices and their coefficients, and the
+    index where each degree starts.  Given columns, ``boundaries[q]``
+    mapping a degree-q generator's index to {index in degree q-1: integer
+    coefficient}, are validated and numbered into it, and ``boundaries`` is
+    decoded from it only when first read.  The generator sequences are kept
+    as given, not copied, and a label is read only to name an offender.
+    d(d(x)) = 0 is checked on construction, on the columns in given order.
     """
 
     def __init__(self, generators, boundaries):
-        self.generators = {q: gens for q, gens in generators.items() if gens}
-        self.boundaries = {
-            q: {c: col for c, col in cols.items() if col}
-            for q, cols in boundaries.items()
-        }
-        for q, cols in self.boundaries.items():
-            if q not in self.generators:
+        gens = {q: generators[q] for q in sorted(generators) if generators[q]}
+        starts = list(accumulate(map(len, gens.values()), initial=0))
+        first = dict(zip(gens, starts))
+        facets, coefficients, given = [()] * starts[-1], [()] * starts[-1], []
+        for q, cols in boundaries.items():
+            if q not in gens:
                 raise ValueError("boundary in degree %d without generators" % q)
-            ncols = len(self.generators[q])
-            nlow = len(self.generators.get(q - 1, ()))
             for c, col in cols.items():
-                if not 0 <= c < ncols:
+                if not col:
+                    continue
+                if not 0 <= c < len(gens[q]):
                     raise ValueError("boundary column %d out of range" % c)
-                if min(col) < 0 or max(col) >= nlow:
+                if min(col) < 0 or max(col) >= len(gens.get(q - 1, ())):
                     raise ValueError("boundary row out of range in degree %d" % q)
-        _check_squares_to_zero(
-            self.generators, self.boundaries, lambda q, i: self.generators[q][i]
-        )
+                try:
+                    coefficients[first[q] + c] = tuple(map(index, col.values()))
+                except TypeError:
+                    msg = "boundary coefficient not an integer in degree %d, column %d"
+                    raise ValueError(msg % (q, c)) from None
+                facets[first[q] + c] = [r + first[q - 1] for r in col]
+                given.append(first[q] + c)
+        self.generators, self._table = gens, (facets, coefficients, starts[:-1])
+        _check_squares_to_zero(facets, coefficients, self._label, given)
+
+    @classmethod
+    def _numbered(cls, generators, table, order):
+        """The complex of a cell table as ``_table`` holds it, ``generators``
+        in ascending degree.  Only the caller can vouch for the table's
+        shape; d(d(x)) = 0 is still checked, on the cells in ``order``."""
+        self = object.__new__(cls)
+        self.generators, self._table = generators, table
+        _check_squares_to_zero(table[0], table[1], self._label, order)
+        return self
+
+    def __getattr__(self, name):
+        if name != "boundaries":  # decoded from the table when first read
+            raise AttributeError(name)
+        facets, coefficients, starts = self._table
+        self.boundaries = {}
+        for k, (q, start) in enumerate(zip(self.generators, starts)):
+            for c in range(start, start + len(self.generators[q])):
+                if facets[c]:  # its rows lie in the degree before, from starts[k - 1]
+                    col = dict(zip([r - starts[k - 1] for r in facets[c]], coefficients[c]))
+                    self.boundaries.setdefault(q, {})[c - start] = col
+        return self.boundaries
+
+    def _label(self, c):
+        """The generator label of cell c of the table."""
+        k = bisect_right(self._table[2], c) - 1
+        return self.generators[self.degrees()[k]][c - self._table[2][k]]
 
     def degrees(self):
-        return sorted(self.generators)
+        return list(self.generators)
 
 
-def _check_squares_to_zero(cells, boundaries, name):
-    """Raise BoundarySquareError unless d(d(x)) = 0 on every column.
+def _check_squares_to_zero(facets, coefficients, name, order):
+    """Raise BoundarySquareError unless d(d(x)) = 0 on the cells of a table.
 
-    ``boundaries[q]`` maps the index of a degree-q cell to its column
-    {index in degree q-1: coefficient}, ``len(cells[q])`` counts the degree-q
-    cells, and ``name(q, i)`` names cell i of degree q, read only to name an
-    offender.  Each column of d_q is summed into one reused list over the
-    degree-(q-2) cells, then read back and reset over the same terms: nonzero
-    entries are reported in the order their rows were reached.
+    ``facets[c]`` lists the indices of cell c's facets, ``coefficients[c]``
+    their coefficients in the same order, and ``name(c)`` names cell c, read
+    only to name an offender.  The cells are checked in ``order``, and the
+    first offender raises.
+
+    Each cell's facets are split into those with coefficient +1 and -1; a
+    cell c with any other coefficient into ``[~c]``, a row no other path
+    reaches.  A column with coefficients +-1 passes when the rows it reaches
+    positively and negatively, gathered by extending lists, are equal once
+    sorted.  Any other column, and any offender, is summed exactly, and its
+    nonzero entries are reported in the order their rows were reached.
     """
-    for q, cols in boundaries.items():
-        lower = boundaries.get(q - 1)
-        if not lower:
-            continue
-        low = [()] * len(cells[q - 1])
-        for r, col in lower.items():
-            low[r] = tuple(col.items())
-        acc = [0] * len(cells[q - 2])
-        for c, col in cols.items():
-            for r, v in col.items():
-                for r2, v2 in low[r]:
-                    acc[r2] += v * v2
-            surv = {}
-            for r in col:
-                for r2, _ in low[r]:
-                    if acc[r2]:
-                        surv[name(q - 2, r2)] = acc[r2]
-                        acc[r2] = 0
-            if surv:
-                raise BoundarySquareError(
-                    "d(d(%r)) = %r is nonzero" % (name(q, c), surv)
-                )
+    plus, minus = [], []
+    for c, (fs, cs) in enumerate(zip(facets, coefficients)):
+        p, m = [], []
+        for r, v in zip(fs, cs):
+            if v == 1:
+                p.append(r)
+            elif v == -1:
+                m.append(r)
+            else:
+                p, m = [~c], []
+                break
+        plus.append(p)
+        minus.append(m)
+    for c in order:
+        fs, cs = facets[c], coefficients[c]
+        up, down = [], []
+        for r, v in zip(fs, cs):
+            if v == 1:
+                up += plus[r]
+                down += minus[r]
+            elif v == -1:
+                up += minus[r]
+                down += plus[r]
+            else:
+                break
+        else:
+            up.sort()
+            down.sort()
+            if up == down:
+                continue
+        acc = {}
+        for r, v in zip(fs, cs):
+            for r2, v2 in zip(facets[r], coefficients[r]):
+                acc[r2] = acc.get(r2, 0) + v * v2
+        surv = {name(r2): v for r2, v in acc.items() if v}
+        if surv:
+            raise BoundarySquareError("d(d(%r)) = %r is nonzero" % (name(c), surv))
 
 
 def _coreduce(facets, coefficients):
@@ -344,11 +399,11 @@ def _reduce(facets, coefficients, starts, degrees, label, euler_cells):
     """Reduced homology of cells numbered in degree order, by one coreduction.
 
     ``facets`` and ``coefficients`` are as ``_coreduce`` reads them, the cells
-    of degree ``degrees[k]`` start at ``starts[k]``, and ``label(q, c)`` names
-    cell c of degree q, read only to name an offender.  The critical cells are
-    grouped by degree, d(d(x)) = 0 is checked on their Morse boundaries, and
-    each degree's boundary goes through the dense Smith reduction, whose
-    factors are checked to be a divisibility chain.
+    of degree ``degrees[k]`` start at ``starts[k]``, and ``label(c)`` names
+    cell c, read only to name an offender.  The critical cells, numbered in
+    index order, make a cell table of their Morse boundaries; d(d(x)) = 0 is
+    checked on it, and each degree's boundary goes through the dense Smith
+    reduction, whose factors are checked to be a divisibility chain.
 
     Betti_q = critical cells in degree q - rank d_q - rank d_{q+1};
     torsion_q = invariant factors of d_{q+1} exceeding 1.  ``euler_cells``,
@@ -356,29 +411,25 @@ def _reduce(facets, coefficients, starts, degrees, label, euler_cells):
     numbers'.
     """
     boundary = _coreduce(facets, coefficients)
-    critical = {q: [] for q in degrees}
-    columns, position = {}, {}
-    for c, col in boundary.items():  # a column's cells come before its own
-        q = degrees[bisect_right(starts, c) - 1]
-        cells = critical[q]
-        position[c] = len(cells)
-        if col:
-            columns.setdefault(q, {})[len(cells)] = {
-                position[x]: v for x, v in col.items()
-            }
-        cells.append(c)
-    _check_squares_to_zero(critical, columns, lambda q, i: label(q, critical[q][i]))
+    cells = list(boundary)
+    position = dict(zip(cells, range(len(cells))))
+    rows = [[position[x] for x in col] for col in boundary.values()]
+    values = [tuple(col.values()) for col in boundary.values()]
+    _check_squares_to_zero(rows, values, lambda i: label(cells[i]), range(len(rows)))
+    first = [bisect_left(cells, s) for s in starts] + [len(cells)]
     factors = {}
-    for q, cols in columns.items():
-        matrix = [[0] * len(critical[q]) for _ in critical[q - 1]]
-        for j, col in cols.items():
-            for i, v in col.items():
-                matrix[i][j] = v
-        factors[q] = smith_normal_form(matrix)
+    for k, q in enumerate(degrees):  # a column's rows are the degree before's
+        low, lo, hi = first[k - 1], first[k], first[k + 1]
+        if any(rows[lo:hi]):
+            matrix = [[0] * (hi - lo) for _ in range(low, lo)]
+            for j in range(lo, hi):
+                for i, v in zip(rows[j], values[j]):
+                    matrix[i - low][j - lo] = v
+            factors[q] = smith_normal_form(matrix)
     groups = {}
-    for q, cells in critical.items():
+    for k, q in enumerate(degrees):
         up = factors.get(q + 1, ())
-        betti = len(cells) - len(factors.get(q, ())) - len(up)
+        betti = first[k + 1] - first[k] - len(factors.get(q, ())) - len(up)
         groups[q] = (betti, tuple(d for d in up if d > 1))
     euler_betti = sum(-b if q % 2 else b for q, (b, _) in groups.items())
     if euler_cells != euler_betti:
@@ -390,29 +441,11 @@ def _reduce(facets, coefficients, starts, degrees, label, euler_cells):
 
 
 def chain_homology(complex_):
-    """Exact homology of a ChainComplex, by ``_reduce``.
-
-    The degrees' generators are numbered one after another, each with its
-    column as facets and coefficients, and their Euler characteristic is the
-    one checked against the Betti numbers.
-    """
-    degrees = complex_.degrees()
+    """Exact homology of a ChainComplex, by ``_reduce`` on its cell table; the
+    generators' Euler characteristic is checked against the Betti numbers."""
     gens = complex_.generators
-    facets, coefficients, starts = [], [], []
-    for q in degrees:
-        low = starts[-1] if q - 1 in gens else 0
-        size = len(gens[q])
-        fs, cs = [()] * size, [()] * size
-        for c, col in complex_.boundaries.get(q, {}).items():
-            fs[c] = [r + low for r in col]
-            cs[c] = tuple(col.values())
-        starts.append(len(facets))
-        facets += fs
-        coefficients += cs
-    first = dict(zip(degrees, starts))
     euler = sum(-len(g) if q % 2 else len(g) for q, g in gens.items())
-    label = lambda q, c: gens[q][c - first[q]]
-    return _reduce(facets, coefficients, starts, degrees, label, euler)
+    return _reduce(*complex_._table, list(gens), complex_._label, euler)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +631,6 @@ def simplicial_homology(complex_):
         coefficients,
         starts[:-1],
         range(-1, len(starts) - 2),
-        lambda q, c: _face(table, c) or "*",
+        lambda c: _face(table, c) or "*",
         complex_.euler_characteristic() - 1,
     )

@@ -34,6 +34,7 @@ import csv
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from . import compositions as comps
 from .compositions import _mask_order, _parts
@@ -186,27 +187,32 @@ class _Cells(Sequence):
 def pol_chain_complex(partition, n):
     """Chain complex on the closure cells, graded by cell dimension.
 
-    The columns are read off the move table, each entry dropped once used.
-    Each degree's generators are its cell keys in composition order, and a
-    ``StratumCell`` label is built only when one is read.
+    The cells, numbered by dimension and then in composition order, make the
+    complex's cell table: each cell's facets and coefficients are read off
+    its moves, zeros dropped, and its move table entry dropped once used.  A
+    ``StratumCell`` label is built only when read.  d(d(x)) = 0 is checked
+    from the top cells down.
     """
     table = _closure(partition, n)
     by_dim = {}
-    for key in sorted(table, key=_mask_order):
+    for key in table:
         by_dim.setdefault(_dimension(key, n), []).append(key)
-    boundaries = {}
-    for d, keys in by_dim.items():
-        lower = {key: i for i, key in enumerate(by_dim.get(d - 1, ()))}
-        cols = {}
-        for c, key in enumerate(keys):
-            moves = iter(table.pop(key))
-            col = {lower[t]: v for t, v in zip(moves, moves) if v}
-            if col:
-                cols[c] = col
-        if cols:
-            boundaries[d] = cols
-    generators = {d: _Cells(keys, n) for d, keys in by_dim.items()}
-    return ChainComplex(generators, boundaries)
+    generators, starts, index = {}, [], {}
+    for d in sorted(by_dim):
+        keys = sorted(by_dim[d], key=_mask_order)
+        generators[d] = _Cells(keys, n)
+        starts.append(len(index))
+        index.update(zip(keys, range(len(index), len(index) + len(keys))))
+    facets, coefficients = [], []
+    for key in index:
+        moves = table.pop(key)
+        targets, values = moves[::2], moves[1::2]
+        if 0 in values:
+            targets, values = compress(targets, values), tuple(filter(None, values))
+        facets.append(list(map(index.__getitem__, targets)))
+        coefficients.append(values)
+    table = facets, coefficients, starts
+    return ChainComplex._numbered(generators, table, range(len(facets) - 1, -1, -1))
 
 
 def pol_homology(partition, n):

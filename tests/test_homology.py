@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
@@ -481,6 +482,48 @@ class TestChainHomology:
             assert messages[0] == messages[1]
             verdicts[messages[0] is None] += 1
         assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+    def test_huge_coefficients_decided_exactly(self):
+        # d(b) = N a, d(c) = M a, d(e) = b - c: d(d(e)) = (N - M) a, summed
+        # exactly without allocating anything the size of N
+        generators = {0: ("a",), 1: ("b", "c"), 2: ("e",)}
+        n = 10**12
+        tracemalloc.start()
+        try:
+            complex_ = ChainComplex(
+                generators, {1: {0: {0: n}, 1: {0: n}}, 2: {0: {0: 1, 1: -1}}}
+            )
+            assert chain_homology(complex_) == HomologyResult.of({0: (0, (n,))})
+            with pytest.raises(BoundarySquareError) as info:
+                ChainComplex(
+                    generators, {1: {0: {0: n}, 1: {0: n + 1}}, 2: {0: {0: 1, 1: -1}}}
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "d(d('e')) = {'a': -1} is nonzero"
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, "1", None])
+    def test_non_integer_coefficient_refused(self, value):
+        # a float must not reach the integer reduction, where 2.0 reads as Z/2
+        generators = {0: ("a",), 1: ("b", "c")}
+        with pytest.raises(ValueError, match="in degree 1, column 1$"):
+            ChainComplex(generators, {1: {0: {0: 1}, 1: {0: value}}})
+
+    def test_boundaries_decoded_on_first_read(self):
+        # reducing a complex reads its cell table only; the decoded columns
+        # equal the given ones, empty columns and degrees dropped
+        rng = random.Random(3)
+        for simplicial in random_complexes(9):
+            generators, boundaries = signed_scaled_chains(simplicial, rng)
+            complex_ = ChainComplex(generators, boundaries)
+            chain_homology(complex_)
+            assert "boundaries" not in vars(complex_)
+            assert complex_.boundaries == boundaries
+            assert "boundaries" in vars(complex_)
+        complex_ = ChainComplex({0: ("a",), 1: ("b",)}, {1: {0: {}}})
+        assert complex_.boundaries == {}
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

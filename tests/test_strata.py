@@ -298,6 +298,21 @@ class TestAgainstOracle:
         assert built == cells
         assert len(cells) == sum(map(len, complex_.generators.values()))
 
+    def test_homology_leaves_boundaries_undecoded(self, monkeypatch):
+        # pol_homology and chain_homology read the cell table, not the columns
+        reduced = []
+        reduce = strata.chain_homology
+        monkeypatch.setattr(
+            strata, "chain_homology", lambda c: reduced.append(c) or reduce(c)
+        )
+        assert pol_homology((1, 1, 2), 8) == chain_homology(
+            pol_chain_complex((1, 1, 2), 8)
+        )
+        complex_ = pol_chain_complex((1, 1, 1, 1), 8)
+        chain_homology(complex_)
+        for c in reduced + [complex_]:
+            assert "boundaries" not in vars(c)
+
     def test_move_out_of_the_closure_raises(self, monkeypatch):
         # a move that keeps the dimension has no row in degree d - 1
         faces = strata._faces
