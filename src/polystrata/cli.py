@@ -214,7 +214,7 @@ def table(max_weight, backend):
 
 @main.command()
 @lambda_option
-@click.option("--n-min", type=int, default=None, help="default: the weight")
+@click.option("--n-min", type=int, help="default: lowest degree with a nonempty complement")
 @click.option("--n-max", type=int, default=9)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
 @_guard
@@ -224,9 +224,9 @@ def stabilization(parts, n_min, n_max, fmt):
     Flags the first degree where consecutive tables differ.
     """
     partition = tuple(sorted(parse_parts(parts)))
-    report = stabilization_report(
-        partition, sum(partition) if n_min is None else n_min, n_max
-    )
+    if n_min is None:  # a closure fills its whole space only for (1) in degree 1
+        n_min = 3 if partition == (1,) else sum(partition)
+    report = stabilization_report(partition, n_min, n_max)
     if fmt == "csv":
         click.echo(report.to_csv(), nl=False)
         return

@@ -13,7 +13,8 @@ does ``strata``, which reads its cell keys with ``_parts`` and ``_mask_order``.
 
 Here live the two posets of a type, without the one-part composition: the
 unions of the merged sets of its compositions (C_lambda), and all coarsenings
-of its compositions; and the complex generated by their partial-sum faces.
+of its compositions, both read off one coarsening pass (``_coarsenings``);
+and the complex generated by their partial-sum faces.
 """
 
 from __future__ import annotations
@@ -164,18 +165,21 @@ def compositions_of_type(partition):
 # The coarsening poset of a type
 
 
-def type_merged_sets(partition):
-    partition = as_partition(partition)
-    return {merged_set(c) for c in compositions_of_type(partition)}
+def _coarsenings(partition):
+    """Each coarsening M of a type composition but the one-part composition,
+    mapped to the OR of the type merged sets inside M.
 
-
-def union_closure(masks):
-    """The unions of all nonempty subfamilies of ``masks``."""
-    closure = set()
-    for g in masks:
-        closure |= {g | u for u in closure}
-        closure.add(g)
-    return closure
+    One walk over the pairs (type composition c, submask s of its partial
+    sums) reaches M = merged_set(c) | s from every c whose merged set lies in
+    M, so M is a union of type merged sets exactly when its OR equals M.
+    """
+    out = {}
+    for c in compositions_of_type(partition):
+        g = merged_set(c)
+        for m in map(g.__or__, submasks(partial_sums(c))):
+            out[m] = out.get(m, 0) | g
+    out.pop((1 << (weight(partition) - 1)) - 1)
+    return out
 
 
 def _poset_of_merged_sets(n, masks):
@@ -190,10 +194,8 @@ def c_lambda_poset(partition):
     element keys are the corresponding compositions.
     """
     partition = nonempty_partition(partition)
-    n = weight(partition)
-    closure = union_closure(type_merged_sets(partition))
-    closure.discard((1 << (n - 1)) - 1)
-    return _poset_of_merged_sets(n, closure)
+    unions = [m for m, u in _coarsenings(partition).items() if u == m]
+    return _poset_of_merged_sets(weight(partition), unions)
 
 
 def coarsening_poset(partition):
@@ -207,13 +209,7 @@ def coarsening_poset(partition):
     matches this poset, not the union-generated one.
     """
     partition = nonempty_partition(partition)
-    n = weight(partition)
-    full = (1 << (n - 1)) - 1
-    masks = set()
-    for c in compositions_of_type(partition):
-        masks.update(map(merged_set(c).__or__, submasks(partial_sums(c))))
-    masks.discard(full)
-    return _poset_of_merged_sets(n, masks)
+    return _poset_of_merged_sets(weight(partition), _coarsenings(partition))
 
 
 # ---------------------------------------------------------------------------

@@ -219,14 +219,15 @@ class ChainComplex:
                     continue
                 if not 0 <= c < len(gens[q]):
                     raise ValueError("boundary column %d out of range" % c)
-                if min(col) < 0 or max(col) >= len(gens.get(q - 1, ())):
-                    raise ValueError("boundary row out of range in degree %d" % q)
                 try:
+                    rows = list(map(index, col))
                     coefficients[first[q] + c] = tuple(map(index, col.values()))
                 except TypeError:
-                    msg = "boundary coefficient not an integer in degree %d, column %d"
+                    msg = "non-integer boundary row or coefficient in degree %d, column %d"
                     raise ValueError(msg % (q, c)) from None
-                facets[first[q] + c] = [r + first[q - 1] for r in col]
+                if min(rows) < 0 or max(rows) >= len(gens.get(q - 1, ())):
+                    raise ValueError("boundary row out of range in degree %d" % q)
+                facets[first[q] + c] = [r + first[q - 1] for r in rows]
                 given.append(first[q] + c)
         self.generators, self._table = gens, (facets, coefficients, starts[:-1])
         _check_squares_to_zero(facets, coefficients, self._label, given)

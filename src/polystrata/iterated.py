@@ -27,12 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import index
 
-from .compositions import (
-    as_partition,
-    positions,
-    type_merged_sets,
-    union_closure,
-)
+from .compositions import _coarsenings, nonempty_partition, positions
 from .homology import InvariantError
 from .posets import Poset, check_isomorphism, inclusion_poset, product_of_chains
 
@@ -128,18 +123,18 @@ def iterated_poset(n, d):
 def c_lambda_d_poset(partition, d):
     """Levelwise-union closure of the constant chains over type compositions.
 
-    Levelwise unions of constant chains are constant, so the closure is the
-    union closure of the type merged sets, placed diagonally at every level.
-    The tuple that is fully merged at every level is dropped; for d = 1 this
-    reproduces C_lambda (``c_lambda_poset``).  Elements sort by positions
-    (``_mask_order`` puts the empty set after {1}) and are built unchecked.
+    Levelwise unions of constant chains are constant, so the closure is
+    C_lambda's masks, the coarsenings that are unions of type merged sets,
+    placed diagonally at every level.  The tuple that is fully merged at
+    every level is dropped; for d = 1 this reproduces C_lambda
+    (``c_lambda_poset``).  Elements sort by positions (``_mask_order`` puts
+    the empty set after {1}) and are built unchecked.
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    partition = as_partition(partition)
+    partition = nonempty_partition(partition)
     n = sum(partition)
-    closure = union_closure(type_merged_sets(partition))
-    closure.discard((1 << (n - 1)) - 1)
-    masks = sorted(closure, key=positions)
+    unions = [m for m, u in _coarsenings(partition).items() if u == m]
+    masks = sorted(unions, key=positions)
     elements = [_unchecked(n, (positions(u),) * d) for u in masks]
     return inclusion_poset(elements, masks)

@@ -246,6 +246,17 @@ class TestTables:
                 "n = 7",
             ]
 
+    def test_stabilization_of_one_starts_at_three(self, runner):
+        # the closure of (1) fills degree 1, so the default n_min skips it;
+        # an explicit n_min = 1 is still refused
+        default = runner.invoke(cli.main, ["stabilization", "--lambda", "1", "--n-max", "12"])
+        explicit = ["stabilization", "--lambda", "1", "--n-min", "3", "--n-max", "12"]
+        assert default.exit_code == 0
+        assert default.output.splitlines()[1] == "  n = 3: 0"
+        assert default.output == runner.invoke(cli.main, explicit).output
+        explicit[4] = "1"
+        assert runner.invoke(cli.main, explicit).exit_code == 2
+
     @pytest.mark.parametrize(
         "args",
         [

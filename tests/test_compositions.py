@@ -25,7 +25,6 @@ from polystrata.compositions import (
     partial_sums,
     positions,
     submasks,
-    type_merged_sets,
     weight,
 )
 from polystrata.homology import HomologyResult, simplicial_homology, sphere_homology
@@ -47,6 +46,19 @@ def coarsenings(parts):
                 merged[-1] += part
         out.append(tuple(merged))
     return out
+
+
+def union_closure(masks):
+    """Oracle: the unions of all nonempty subfamilies of ``masks``."""
+    closure = set()
+    for g in masks:
+        closure |= {g | u for u in closure}
+        closure.add(g)
+    return closure
+
+
+def element_masks(poset):
+    return [merged_set(c) for c in poset.elements]
 
 
 class TestBasics:
@@ -307,8 +319,37 @@ class TestCoarseningPosets:
         large = simplicial_homology(order_complex(coarsening_poset(partition)))
         assert small == large
 
-    def test_type_merged_sets(self):
-        assert type_merged_sets((1, 2)) == {0b01, 0b10}
+    def test_masks_match_oracles(self):
+        # C_lambda is the union closure of the type merged sets, the
+        # coarsening poset their up-closure; neither holds the full set
+        types = [p for n in range(1, 13) for p in partitions_of(n)]
+        assert len(types) == 271
+        for partition in types:
+            gens = {merged_set(c) for c in compositions_of_type(partition)}
+            full = (1 << (weight(partition) - 1)) - 1
+            unions = union_closure(gens) - {full}
+            up = {m for m in range(full) if any(not g & ~m for g in gens)}
+            assert set(element_masks(c_lambda_poset(partition))) == unions, partition
+            assert set(element_masks(coarsening_poset(partition))) == up, partition
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(
+            [p for n in range(5, 15) for p in partitions_of(n) if 5 <= len(p) <= 6]
+        )
+    )
+    def test_c_lambda_covers_are_inclusions(self, partition):
+        # the poset-export range: C_lambda lies inside the coarsening poset,
+        # and each cover is an inclusion with no C_lambda mask strictly between
+        poset = c_lambda_poset(partition)
+        masks = element_masks(poset)
+        inside = set(masks)
+        assert inside <= set(element_masks(coarsening_poset(partition)))
+        for a, b in poset.covers:
+            low, high = masks[a], masks[b]
+            assert low != high and not low & ~high
+            gap = high & ~low
+            assert not [s for s in submasks(gap) if s not in (0, gap) and low | s in inside]
 
 
 class TestDeltaComplex:

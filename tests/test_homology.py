@@ -533,6 +533,12 @@ class TestChainHomology:
         with pytest.raises(ValueError):
             ChainComplex({0: ("a", "b"), 1: ("e",)}, {1: {-1: {0: 1, 1: -1}}})
 
+    @pytest.mark.parametrize("row", [0.5, "a"])
+    def test_non_integer_row_refused(self, row):
+        # a row key is read like a coefficient, before the range check
+        with pytest.raises(ValueError, match="in degree 1, column 0$"):
+            ChainComplex({0: ("a", "b"), 1: ("e",)}, {1: {0: {row: 1}}})
+
     @pytest.mark.parametrize("row", [-1, 2])
     def test_row_out_of_range(self, row):
         # rows run over 0 .. count of degree-(q-1) generators - 1
