@@ -14,16 +14,14 @@ import sys
 
 import click
 
-from .compositions import (
-    c_lambda_poset,
-    delta_lambda_complex,
-    parse_parts,
+from .compositions import c_lambda_poset, delta_lambda_complex, parse_parts
+from .homology import InvariantError
+from .hyperbolic import (
+    BACKENDS, PIPELINES, BackendDisagreement, hyp_homology, resonance_free_prediction
 )
-from .homology import InvariantError, simplicial_homology
-from .hyperbolic import BackendDisagreement, hyp_homology, resonance_free_prediction
 from .iterated import c_lambda_d_poset, iterated_poset
 from .permutahedron import permutahedron_face_poset
-from .posets import PosetError, face_poset, order_complex
+from .posets import PosetError, face_poset
 from .resonance import primitive_identities
 from .strata import StratumError, closure_poset, pol_homology, stabilization_report
 from .verify import SUITES, partitions_of
@@ -93,7 +91,7 @@ format_option = click.option(
 )
 lambda_option = click.option("--lambda", "parts", required=True, help="comma-separated parts")
 quiet_option = click.option("--quiet", is_flag=True, default=False)
-backends = click.Choice(["cells", "order-complex", "delta", "all"])
+backends = click.Choice([*BACKENDS, "all"])
 
 
 @main.command()
@@ -126,8 +124,7 @@ def pol(parts, n, fmt):
 def order_complex_cmd(parts, fmt):
     """Homology of the order complex of the coarsening poset of a type."""
     partition = tuple(sorted(parse_parts(parts)))
-    result = simplicial_homology(order_complex(c_lambda_poset(partition)))
-    _render_homology(result, fmt)
+    _render_homology(PIPELINES["order-complex"](partition), fmt)
 
 
 @main.command()
@@ -137,8 +134,7 @@ def order_complex_cmd(parts, fmt):
 def delta(parts, fmt):
     """Homology of the partial-sum face complex of a type."""
     partition = tuple(sorted(parse_parts(parts)))
-    result = simplicial_homology(delta_lambda_complex(partition).complex)
-    _render_homology(result, fmt)
+    _render_homology(PIPELINES["delta"](partition), fmt)
 
 
 # per suite, the options it reads and the keyword argument each one sets

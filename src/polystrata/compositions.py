@@ -13,8 +13,9 @@ does ``strata``, which reads its cell keys with ``_parts`` and ``_mask_order``.
 
 Here live the two posets of a type, without the one-part composition: the
 unions of the merged sets of its compositions (C_lambda), and all coarsenings
-of its compositions, both read off one coarsening pass (``_coarsenings``);
-and the complex generated by their partial-sum faces.
+of its compositions, both read off one coarsening pass (``_coarsenings``),
+C_lambda's masks by one rule (``_unions``, which ``iterated`` shares); and
+the complex generated by their partial-sum faces.
 """
 
 from __future__ import annotations
@@ -182,6 +183,11 @@ def _coarsenings(partition):
     return out
 
 
+def _unions(partition):
+    """C_lambda's masks: the coarsenings whose OR of type merged sets is themselves."""
+    return [m for m, u in _coarsenings(partition).items() if u == m]
+
+
 def _poset_of_merged_sets(n, masks):
     masks = sorted(masks, key=_by_size)
     return inclusion_poset([composition_from_merged_set(n, m) for m in masks], masks)
@@ -194,8 +200,7 @@ def c_lambda_poset(partition):
     element keys are the corresponding compositions.
     """
     partition = nonempty_partition(partition)
-    unions = [m for m, u in _coarsenings(partition).items() if u == m]
-    return _poset_of_merged_sets(weight(partition), unions)
+    return _poset_of_merged_sets(weight(partition), _unions(partition))
 
 
 def coarsening_poset(partition):

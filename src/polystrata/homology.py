@@ -135,13 +135,17 @@ class HomologyResult:
 
     @staticmethod
     def of(groups):
-        """Normalize a {degree: (betti, torsion)} mapping, dropping trivial rows."""
+        """Normalize a {degree: (betti, torsion)} mapping, dropping trivial rows.
+
+        Every number passes through ``operator.index``: a float is a TypeError.
+        """
         norm = []
         for q in sorted(groups):
             betti, torsion = groups[q]
-            torsion = tuple(int(x) for x in torsion if x > 1)
+            betti = index(betti)
+            torsion = tuple(x for x in map(index, torsion) if x > 1)
             if betti or torsion:
-                norm.append((q, int(betti), torsion))
+                norm.append((index(q), betti, torsion))
         return HomologyResult(tuple(norm))
 
     def betti(self, q):

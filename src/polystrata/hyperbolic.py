@@ -7,6 +7,10 @@ suspension, and the partial-sum face complex shifted the same way.  They must
 agree; the default invocation runs all three and treats disagreement as a
 fatal implementation error.
 
+Each pipeline is written once, in ``PIPELINES`` (backend name -> homology of
+a type; ``hyp_homology`` shifts the two complexes').  Every command and suite
+that runs a pipeline looks its entry up there at call time.
+
 Closed-form predictors cover hook types (one part k, the rest 1's) and
 resonance-free types: distinct parts give a t-sphere, a repeated part kills
 all reduced homology.
@@ -27,7 +31,12 @@ from .posets import order_complex
 from .resonance import is_free_of_resonances
 from .strata import pol_homology
 
-BACKENDS = ("cells", "order-complex", "delta")
+PIPELINES = {
+    "cells": lambda p: pol_homology(p, sum(p)),
+    "order-complex": lambda p: simplicial_homology(order_complex(c_lambda_poset(p))),
+    "delta": lambda p: simplicial_homology(delta_lambda_complex(p).complex),
+}
+BACKENDS = tuple(PIPELINES)
 
 
 class BackendDisagreement(Exception):
@@ -53,15 +62,10 @@ def hyp_homology(partition, backend=None):
         if any(h != first for h in tables.values()):
             raise BackendDisagreement(partition, tables)
         return first
-    if backend == "cells":
-        return pol_homology(partition, sum(partition))
-    if backend == "order-complex":
-        complex_ = order_complex(c_lambda_poset(partition))
-        return suspension_shift(simplicial_homology(complex_), 2)
-    if backend == "delta":
-        complex_ = delta_lambda_complex(partition).complex
-        return suspension_shift(simplicial_homology(complex_), 2)
-    raise ValueError("unknown backend %r" % backend)
+    if backend not in PIPELINES:
+        raise ValueError("unknown backend %r" % backend)
+    result = PIPELINES[backend](partition)
+    return result if backend == "cells" else suspension_shift(result, 2)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ scope.
 builds each element's levels straight from its code; an up-cover adds one
 power of d + 1 to the code, so covers are found by index, not by hashing
 elements.  The merge counts are still re-read from the levels and checked
-against the product of chains on every call.
+against the product of chains on every call.  ``c_lambda_d_poset`` reads
+C_lambda's masks through ``compositions._unions``, where that rule lives.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import index
 
-from .compositions import _coarsenings, nonempty_partition, positions
+from .compositions import _unions, nonempty_partition, positions
 from .homology import InvariantError
 from .posets import Poset, check_isomorphism, inclusion_poset, product_of_chains
 
@@ -134,7 +135,6 @@ def c_lambda_d_poset(partition, d):
         raise ValueError("need d >= 1")
     partition = nonempty_partition(partition)
     n = sum(partition)
-    unions = [m for m, u in _coarsenings(partition).items() if u == m]
-    masks = sorted(unions, key=positions)
+    masks = sorted(_unions(partition), key=positions)
     elements = [_unchecked(n, (positions(u),) * d) for u in masks]
     return inclusion_poset(elements, masks)

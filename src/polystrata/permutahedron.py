@@ -16,7 +16,8 @@ The face poset of t letters and the index permutation of each adjacent
 transposition (p, p+1) are built once and memoised, per t and per (t, p)
 (``_permutahedron``, ``_transposition``): the ``prop-3-7`` suite quotients
 the same few face posets, t <= 5, for every type it checks.  Each
-Young-subgroup action still checks its generators.
+Young-subgroup action still checks its generators.  ``quotient_report``
+takes C_lambda's homology from ``hyperbolic.PIPELINES["order-complex"]``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 
-from .compositions import as_partition, c_lambda_poset, coarsening_poset
-from .homology import HomologyResult, simplicial_homology, sphere_homology
-from .posets import (
-    GroupAction,
-    Poset,
-    check_isomorphism,
-    order_complex,
-    quotient_poset,
-)
+from .compositions import as_partition, coarsening_poset
+from .homology import HomologyResult, sphere_homology
+from .hyperbolic import PIPELINES
+from .posets import GroupAction, Poset, check_isomorphism, quotient_poset
 from .resonance import primitive_identities
 
 
@@ -165,7 +161,7 @@ def quotient_report(partition):
         action = GroupAction.trivial(Poset((), set()))
     quotient = quotient_poset(action.poset, action)
     c_poset = coarsening_poset(partition)
-    homology = simplicial_homology(order_complex(c_lambda_poset(partition)))
+    homology = PIPELINES["order-complex"](partition)
     if identities:
         seen = {}
         collision = None

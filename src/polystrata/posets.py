@@ -4,7 +4,9 @@ A Poset stores an indexed tuple of hashable element keys and an irredundant
 cover relation on indices; the strict order is derived on construction as
 int index masks (bit j of ``_above[i]`` is set iff element i < element j).
 Orders given as relations reach their covers through one transitive
-reduction, ``Poset._from_below``.  All values are immutable.
+reduction, ``Poset._from_below``.  Cover indices and generator entries pass
+through ``operator.index``, so a float is a TypeError, not truncated.  All
+values are immutable.
 
 An isomorphism is certified only as a given map: ``check_isomorphism`` tests
 that it is a bijection carrying covers exactly onto covers.  Nothing here
@@ -14,6 +16,7 @@ searches for one.
 from __future__ import annotations
 
 import json
+import operator
 from itertools import product
 
 from .homology import SimplicialComplex, _face_table, _faces
@@ -53,7 +56,7 @@ class Poset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != n:
             raise PosetError("duplicate element keys")
-        covers = frozenset((int(a), int(b)) for a, b in covers)
+        covers = frozenset((operator.index(a), operator.index(b)) for a, b in covers)
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise PosetError("cover index out of range")
@@ -208,7 +211,7 @@ class GroupAction:
         n = len(poset.elements)
         gens = []
         for g in generators:
-            g = tuple(int(x) for x in g)
+            g = tuple(map(operator.index, g))
             if sorted(g) != list(range(n)):
                 raise PosetError("generator is not a permutation of the index set")
             for a, b in poset.covers:

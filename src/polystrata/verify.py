@@ -2,7 +2,8 @@
 
 Each suite runs a family of independent cases comparing a computed value
 against an expected one and collects them into a report; the report passes
-exactly when every case matches.
+exactly when every case matches.  Suites run the pipelines of ``hyperbolic``:
+``hyp_homology``, and ``PIPELINES["order-complex"]`` for ``paper-table``.
 """
 
 from __future__ import annotations
@@ -11,12 +12,10 @@ import json
 from dataclasses import dataclass
 
 from . import strata
-from .compositions import c_lambda_poset
-from .homology import BoundarySquareError, HomologyResult, simplicial_homology
-from .hyperbolic import hook_prediction, hyp_homology, resonance_free_prediction
+from .homology import BoundarySquareError, HomologyResult
+from .hyperbolic import PIPELINES, hook_prediction, hyp_homology, resonance_free_prediction
 from .iterated import iterated_poset
 from .permutahedron import quotient_report
-from .posets import order_complex
 from .resonance import is_free_of_resonances, primitive_identities
 
 ZERO = HomologyResult.of({})
@@ -153,23 +152,14 @@ def chain_product_suite(n_range=(2, 6), d_range=(1, 3)):
     return VerificationReport("chain-product", tuple(cases))
 
 
-def _delta_c_homology(partition):
-    return simplicial_homology(order_complex(c_lambda_poset(partition)))
-
-
 def machine_table_suite():
     """The four reported machine computations for order complexes of C_lambda."""
-    cases = []
-    for n in range(5, 10):
-        partition = (1,) * (n - 4) + (2, 2)
-        cases.append(
-            Case("zero lambda=%s" % (partition,), ZERO, _delta_c_homology(partition))
-        )
-    for n in range(7, 12):
-        partition = (1,) * (n - 6) + (3, 3)
-        cases.append(
-            Case("zero lambda=%s" % (partition,), ZERO, _delta_c_homology(partition))
-        )
+    zeros = [(1,) * (n - 4) + (2, 2) for n in range(5, 10)]
+    zeros += [(1,) * (n - 6) + (3, 3) for n in range(7, 12)]
+    cases = [
+        Case("zero lambda=%s" % (p,), ZERO, PIPELINES["order-complex"](p))
+        for p in zeros
+    ]
     partition = (1, 2, 3, 5)
     cases.append(
         Case(
@@ -182,7 +172,7 @@ def machine_table_suite():
         Case(
             "rank-3 lambda=%s" % (partition,),
             HomologyResult.of({2: (3, ())}),
-            _delta_c_homology(partition),
+            PIPELINES["order-complex"](partition),
         )
     )
     partition = (1, 2, 4, 7)
@@ -197,7 +187,7 @@ def machine_table_suite():
         Case(
             "rank-1 lambda=%s" % (partition,),
             HomologyResult.of({1: (1, ()), 2: (1, ())}),
-            _delta_c_homology(partition),
+            PIPELINES["order-complex"](partition),
         )
     )
     return VerificationReport("machine-table", tuple(cases))
@@ -217,6 +207,8 @@ def d_squared_suite(max_weight=6, max_ambient=10):
                 except BoundarySquareError:
                     ok = False
                 cases.append(Case("d2 lambda=%s n=%d" % (partition, n), True, ok))
+    if not cases:  # the literal-parity case joins only a range with a case
+        return VerificationReport("d-squared", ())
     cell = strata.StratumCell((1, 1), 4)
     literal = strata.boundary_of_chain(
         strata.boundary(cell, literal_parity=True), literal_parity=True

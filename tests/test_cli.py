@@ -183,6 +183,9 @@ class TestVerify:
             ["hook", "--k", "13..14"],
             ["resonance-free", "--max-weight", "0"],
             ["prop-3-11", "--n", "4..3"],
+            # the literal-parity case alone does not make a range
+            ["d-squared", "--n-max", "0"],
+            ["d-squared", "--l", "-1"],
         ],
     )
     def test_no_cases_exit_2(self, runner, args):

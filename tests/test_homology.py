@@ -899,6 +899,15 @@ class TestHomologyResult:
         result = HomologyResult.of({0: (0, ()), 1: (2, (1, 3))})
         assert result.groups == ((1, 2, (3,)),)
 
+    @pytest.mark.parametrize(
+        "groups",
+        [{0: (1.5, (2.7,))}, {0: (1.5, ())}, {1: (0, (2.7,))}, {0.5: (1, ())}],
+    )
+    def test_non_integer_refused(self, groups):
+        # {0: (1.5, (2.7,))} must not read as H_0 = Z + Z/2
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            HomologyResult.of(groups)
+
     def test_suspension_shift(self):
         assert suspension_shift(sphere_homology(-1), 2) == sphere_homology(1)
         assert suspension_shift(sphere_homology(0), 2) == sphere_homology(2)

@@ -1,7 +1,9 @@
 import pytest
+from click.testing import CliRunner
 
+from polystrata import cli, hyperbolic
 from polystrata.compositions import c_lambda_poset, coarsening_poset, delta_lambda_complex
-from polystrata.homology import HomologyResult, sphere_homology
+from polystrata.homology import HomologyResult, sphere_homology, suspension_shift
 from polystrata.hyperbolic import (
     BACKENDS,
     BackendDisagreement,
@@ -10,7 +12,10 @@ from polystrata.hyperbolic import (
     hyp_homology,
     resonance_free_prediction,
 )
+from polystrata.permutahedron import quotient_report
 from polystrata.verify import partitions_of
+
+MARK = HomologyResult.of({5: (7, ())})
 
 
 class TestBackends:
@@ -52,6 +57,54 @@ class TestBackends:
             (1, 2), {"cells": sphere_homology(1), "delta": sphere_homology(2)}
         )
         assert "cells" in str(exc) and "delta" in str(exc)
+
+
+class TestPipelineTable:
+    """Every command, suite and report that runs a pipeline reads PIPELINES."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("order-complex", "delta"):
+
+            def spy(partition, name=name):
+                calls.append((name, partition))
+                return MARK
+
+            monkeypatch.setitem(hyperbolic.PIPELINES, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("name", ["order-complex", "delta"])
+    def test_commands_read_the_table(self, calls, name):
+        result = CliRunner().invoke(cli.main, [name, "--lambda", "2,1"])
+        assert (result.exit_code, result.stdout) == (0, str(MARK) + "\n")
+        assert calls == [(name, (1, 2))]
+
+    @pytest.mark.parametrize("name", ["order-complex", "delta"])
+    def test_hyp_homology_reads_the_table(self, calls, name):
+        assert hyp_homology((2, 1), name) == suspension_shift(MARK, 2)
+        assert calls == [(name, (1, 2))]
+
+    def test_paper_table_reads_the_table(self, calls):
+        CliRunner().invoke(cli.main, ["verify", "paper-table"])
+        assert calls[0] == ("order-complex", (1, 2, 2))
+
+    def test_quotient_report_reads_the_table(self, calls):
+        assert quotient_report((1, 2)).homology == MARK
+        assert calls == [("order-complex", (1, 2))]
+
+    def test_missing_name_refused(self, monkeypatch):
+        monkeypatch.delitem(hyperbolic.PIPELINES, "delta")
+        with pytest.raises(ValueError, match="unknown backend 'delta'"):
+            hyp_homology((1, 2), "delta")
+        for backend in ("delta", "nope"):
+            args = ["hyp", "--lambda", "1,2", "--backend", backend]
+            assert CliRunner().invoke(cli.main, args).exit_code == 2
+
+    def test_backend_choices_are_the_table(self):
+        assert BACKENDS == tuple(hyperbolic.PIPELINES)
+        choices = next(p for p in cli.hyp.params if p.name == "backend").type.choices
+        assert list(choices) == [*BACKENDS, "all"]
 
 
 class TestHookPrediction:

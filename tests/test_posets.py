@@ -54,6 +54,20 @@ class TestPosetConstruction:
         with pytest.raises(PosetError, match=re.escape("redundant cover ('a', 'd')")):
             Poset("xabcd", covers)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Poset("abc", [(0.9, 1.7)]),
+            lambda: Poset("ab", [(0, 1.0)]),
+            lambda: GroupAction(Poset("ab", []), [(1.2, 0.0)]),
+        ],
+        ids=["cover", "integral-float-cover", "generator"],
+    )
+    def test_non_integer_index_refused(self, build):
+        # operator.index, not int(): (0.9, 1.7) must not become the cover (0, 1)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            build()
+
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
             Poset("ab", {(0, 1), (1, 0)})
