@@ -194,6 +194,8 @@ def verify(suite, n_range, k_range, l_max, n_max, max_weight, fmt, quiet):
 @_guard
 def table(max_weight, backend):
     """Homology of every type up to a weight, with the closed-form predictions."""
+    if max_weight < 1:
+        raise ValueError("no type in the given range")
     row = "%-18s %-10s %-28s %s"
     click.echo(row % ("lambda", "resonance", "homology", "prediction"))
     for n in range(1, max_weight + 1):
@@ -243,6 +245,8 @@ def stabilization(parts, n_min, n_max, fmt):
 @_guard
 def census(max_weight, list_identities):
     """Per weight, count the types free of resonances and the resonant ones."""
+    if max_weight < 1:
+        raise ValueError("no type in the given range")
     for n in range(1, max_weight + 1):
         types = partitions_of(n)
         resonant = [(p, ids) for p in types if (ids := primitive_identities(p))]

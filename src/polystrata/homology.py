@@ -278,9 +278,10 @@ def _check_squares_to_zero(facets, coefficients, name, order):
     Each cell's facets are split into those with coefficient +1 and -1; a
     cell c with any other coefficient into ``[~c]``, a row no other path
     reaches.  A column with coefficients +-1 passes when the rows it reaches
-    positively and negatively, gathered by extending lists, are equal once
-    sorted.  Any other column, and any offender, is summed exactly, and its
-    nonzero entries are reported in the order their rows were reached.
+    positively and negatively, gathered by extending lists over its own +1
+    facets and then its -1 facets, are equal once sorted.  Any other column,
+    and any offender, is summed exactly, and its nonzero entries are reported
+    in the order their rows were reached.
     """
     plus, minus = [], []
     for c, (fs, cs) in enumerate(zip(facets, coefficients)):
@@ -296,24 +297,21 @@ def _check_squares_to_zero(facets, coefficients, name, order):
         plus.append(p)
         minus.append(m)
     for c in order:
-        fs, cs = facets[c], coefficients[c]
-        up, down = [], []
-        for r, v in zip(fs, cs):
-            if v == 1:
+        p = plus[c]
+        if not p or p[0] >= 0:  # not marked [~c]
+            up, down = [], []
+            for r in p:
                 up += plus[r]
                 down += minus[r]
-            elif v == -1:
+            for r in minus[c]:
                 up += minus[r]
                 down += plus[r]
-            else:
-                break
-        else:
             up.sort()
             down.sort()
             if up == down:
                 continue
         acc = {}
-        for r, v in zip(fs, cs):
+        for r, v in zip(facets[c], coefficients[c]):
             for r2, v2 in zip(facets[r], coefficients[r]):
                 acc[r2] = acc.get(r2, 0) + v * v2
         surv = {name(r2): v for r2, v in acc.items() if v}

@@ -14,10 +14,11 @@ inner bit; inserting a 2 at boundary b keeps the bits up to b and shifts the
 rest up by 2.  ``StratumCell`` labels a cell, its parts read off the key by
 ``compositions._parts``; a chain complex builds labels only when read.
 
-A closure is walked once, from the type's cells, and the walk records each
-cell's moves in a table, checking as it goes that every move drops the
-dimension by one: the keys of the table are the closure cells, its nonzero
-coefficients the boundary columns and all of its moves the covers of the
+A closure is walked once, one dimension at a time from the type's cells:
+every move drops the dimension by exactly one, so the targets of one level's
+moves are the whole next level, each of whose keys is checked to have that
+dimension.  The levels' keys are the closure cells, their moves' nonzero
+coefficients the boundary columns and all of their moves the covers of the
 closure poset.
 
 The boundary operator combines the alternating merge signs with a sign for
@@ -110,11 +111,14 @@ def _faces(key, n, literal_parity=False):
 
 
 def _closure(partition, n):
-    """The move table of the closure of the type's cells in degree n.
+    """The closure of the type's cells in degree n, one level per dimension.
 
-    Each cell key maps to its moves from ``_faces``, zero coefficients
-    included, as the flat tuple (target, coefficient, target, ...) that
-    ``_faces`` returns: a pair per move would cost a tuple object each.
+    A list of (keys, moves) pairs, highest dimension first: the level's cell
+    keys in ``_mask_order`` and, for each, its moves as the flat tuple
+    (target, coefficient, target, ...) that ``_faces`` returns, zero
+    coefficients included; a pair per move would cost a tuple object each.
+    Each key below the top level is checked to have its level's dimension,
+    an offender named by the first source of a move to it.
     """
     partition = comps.as_partition(partition)
     l = sum(partition)
@@ -122,22 +126,25 @@ def _closure(partition, n):
         raise StratumError("partition weight %d exceeds ambient degree %d" % (l, n))
     if (n - l) % 2:
         raise StratumError("ambient minus weight must be even")
-    frontier = [_key(c) for c in comps.compositions_of_type(partition)]
-    table = dict.fromkeys(frontier)
-    while frontier:
-        key = frontier.pop()
-        moves = table[key] = _faces(key, n)
-        low = key.bit_count() - key.bit_length() - 1  # dimension - 1 - n
-        for target in moves[::2]:
+    keys = sorted(map(_key, comps.compositions_of_type(partition)), key=_mask_order)
+    levels = []
+    low = len(partition) - l  # the level's dimension minus n
+    while keys:
+        moves = [_faces(key, n) for key in keys]
+        levels.append((keys, moves))
+        targets = set()
+        for m in moves:
+            targets.update(m[::2])
+        keys = sorted(targets, key=_mask_order)
+        low -= 1
+        for target in keys:
             if target.bit_count() - target.bit_length() != low:
+                source = next(k for k, m in zip(*levels[-1]) if target in m[::2])
                 raise InvariantError(
                     "move from %s leaves the dimension-%d closure cells"
-                    % (StratumCell(_parts(key), n), low + n)
+                    % (StratumCell(_parts(source), n), low + n)
                 )
-            if target not in table:
-                table[target] = None
-                frontier.append(target)
-    return table
+    return levels
 
 
 def closure_cells(partition, n):
@@ -146,7 +153,8 @@ def closure_cells(partition, n):
     Closure under merging adjacent parts and inserting a part 2; each move
     drops the dimension by exactly one.
     """
-    return frozenset(StratumCell(_parts(key), n) for key in _closure(partition, n))
+    levels = _closure(partition, n)
+    return frozenset(StratumCell(_parts(key), n) for keys, _ in levels for key in keys)
 
 
 def boundary(cell, literal_parity=False):
@@ -187,30 +195,26 @@ class _Cells(Sequence):
 def pol_chain_complex(partition, n):
     """Chain complex on the closure cells, graded by cell dimension.
 
-    The cells, numbered by dimension and then in composition order, make the
-    complex's cell table: each cell's facets and coefficients are read off
-    its moves, zeros dropped, and its move table entry dropped once used.  A
+    The closure's levels, lowest first, number the cells of the complex's
+    cell table, each level in composition order: a cell's facets and
+    coefficients are read off its moves, zeros dropped, each facet looked up
+    among the level below, and a level's moves are dropped once read.  A
     ``StratumCell`` label is built only when read.  d(d(x)) = 0 is checked
     from the top cells down.
     """
-    table = _closure(partition, n)
-    by_dim = {}
-    for key in table:
-        by_dim.setdefault(_dimension(key, n), []).append(key)
-    generators, starts, index = {}, [], {}
-    for d in sorted(by_dim):
-        keys = sorted(by_dim[d], key=_mask_order)
-        generators[d] = _Cells(keys, n)
-        starts.append(len(index))
-        index.update(zip(keys, range(len(index), len(index) + len(keys))))
-    facets, coefficients = [], []
-    for key in index:
-        moves = table.pop(key)
-        targets, values = moves[::2], moves[1::2]
-        if 0 in values:
-            targets, values = compress(targets, values), tuple(filter(None, values))
-        facets.append(list(map(index.__getitem__, targets)))
-        coefficients.append(values)
+    levels = _closure(partition, n)
+    generators, facets, coefficients, starts, below = {}, [], [], [], {}
+    while levels:
+        keys, moves = levels.pop()
+        generators[_dimension(keys[0], n)] = _Cells(keys, n)
+        starts.append(len(facets))
+        for m in moves:
+            targets, values = m[::2], m[1::2]
+            if 0 in values:
+                targets, values = compress(targets, values), tuple(filter(None, values))
+            facets.append(list(map(below.__getitem__, targets)))
+            coefficients.append(values)
+        below = dict(zip(keys, range(starts[-1], len(facets))))
     table = facets, coefficients, starts
     return ChainComplex._numbered(generators, table, range(len(facets) - 1, -1, -1))
 
@@ -221,13 +225,13 @@ def pol_homology(partition, n):
 
 
 def closure_poset(partition, n):
-    """The closure cells ordered by boundary containment (for export)."""
-    table = _closure(partition, n)
-    keys = sorted(table, key=lambda k: (-_dimension(k, n), _mask_order(k)))
-    index = {key: i for i, key in enumerate(keys)}
-    covers = {
-        (index[t], index[key]) for key, moves in table.items() for t in moves[::2]
-    }
+    """The closure cells ordered by boundary containment (for export), in
+    level order: by dimension descending, then in composition order."""
+    levels = _closure(partition, n)
+    keys = [key for level, _ in levels for key in level]
+    index = dict(zip(keys, range(len(keys))))
+    pairs = ((key, m) for level, moves in levels for key, m in zip(level, moves))
+    covers = {(index[t], index[key]) for key, m in pairs for t in m[::2]}
     return Poset([StratumCell(_parts(key), n) for key in keys], covers)
 
 

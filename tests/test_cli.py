@@ -234,6 +234,21 @@ class TestTables:
         assert "weight  6:  11 types" in weights[-1]
         assert any("1+2 = 3" in line for line in lines)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "--max-weight", "0"],
+            ["table", "--max-weight", "-1"],
+            ["census", "--max-weight", "0"],
+        ],
+    )
+    def test_no_type_exit_2(self, runner, args):
+        # a weight range holding no type is refused, as verify refuses one
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2
+        assert result.stderr == "error: no type in the given range\n"
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_stabilization(self, runner, fmt):
         args = ["stabilization", "--lambda", "1,2", "--n-max", "7", "--format", fmt]
@@ -568,35 +583,53 @@ def test_simplicial_pipeline_golden_digest(runner, args, digest):
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
-# per module, a statement run in its namespace that makes one of its checks fail
-BREAK_CHECK = {
-    "polystrata.iterated": "check_isomorphism = lambda *a: False",
-    "polystrata.posets": (
-        "Poset._from_below = staticmethod(lambda elements, below: Poset(elements,"
-        " [(j, i) for i, d in enumerate(below) for j in _bits(d)]))"
+# per case: a module, a statement run in its namespace that makes one of its
+# checks fail, and a command that reaches the check
+BREAK_CHECK = [
+    (
+        "polystrata.iterated",
+        "check_isomorphism = lambda *a: False",
+        ["export", "iterated", "--n", "3", "--d", "2"],
     ),
-    "polystrata.homology": "SimplicialComplex.euler_characteristic = lambda self: 99",
-    "polystrata.strata": "_faces = (lambda f: lambda key, n: f(key, n, True))(_faces)",
-}
+    (
+        "polystrata.posets",
+        "Poset._from_below = staticmethod(lambda elements, below: Poset(elements,"
+        " [(j, i) for i, d in enumerate(below) for j in _bits(d)]))",
+        ["export", "clambda", "--lambda", "1,2,3,4"],
+    ),
+    (
+        "polystrata.homology",
+        "SimplicialComplex.euler_characteristic = lambda self: 99",
+        ["order-complex", "--lambda", "1,2,3"],
+    ),
+    (
+        "polystrata.strata",
+        "_faces = (lambda f: lambda key, n: f(key, n, True))(_faces)",
+        ["pol", "--lambda", "1,1", "--n", "4"],
+    ),
+    (  # a move that keeps the dimension, caught by the closure walk
+        "polystrata.strata",
+        "_faces = (lambda f: lambda key, n: (*f(key, n), key, 0))(_faces)",
+        ["pol", "--lambda", "1,2", "--n", "5"],
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "module,args",
+    "module,statement,args",
     [
-        ("polystrata.iterated", ["export", "iterated", "--n", "3", "--d", "2"]),
-        ("polystrata.posets", ["export", "clambda", "--lambda", "1,2,3,4"]),
-        ("polystrata.homology", ["order-complex", "--lambda", "1,2,3"]),
-        ("polystrata.strata", ["pol", "--lambda", "1,1", "--n", "4"]),
+        pytest.param(*case, id="%s-args%d" % (case[0], k))
+        for k, case in enumerate(BREAK_CHECK)
     ],
 )
-def test_invariant_failure_exits_3_under_optimize(module, args):
+def test_invariant_failure_exits_3_under_optimize(module, statement, args):
     # python -O drops asserts; a failed invariant check must still exit 3
     code = (
         "import importlib, sys\n"
         "from polystrata import cli\n"
         "exec(%r, vars(importlib.import_module(%r)))\n"
         "sys.argv[1:] = %r\n"
-        "cli.main()\n" % (BREAK_CHECK[module], module, args)
+        "cli.main()\n" % (statement, module, args)
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -185,6 +185,18 @@ def oracle_check_squares_to_zero(generators, boundaries):
                 )
 
 
+def square_verdicts(generators, boundaries):
+    """The messages of the oracle check and of ``ChainComplex``, None for a pass."""
+    messages = []
+    for check in (oracle_check_squares_to_zero, ChainComplex):
+        try:
+            check(generators, boundaries)
+            messages.append(None)
+        except BoundarySquareError as error:
+            messages.append(str(error))
+    return messages
+
+
 def signed_scaled_chains(complex_, rng):
     """The augmented chains of a simplicial complex with every face's sign
     flipped and every degree's boundary scaled at random: a basis change and
@@ -472,16 +484,31 @@ class TestChainHomology:
                 col = boundaries[q][rng.randrange(len(generators[q]))]
                 r = rng.randrange(len(generators[q - 1]))
                 col[r] = rng.choice([v for v in range(-3, 4) if v != col.get(r, 0)])
-            messages = []
-            for check in (oracle_check_squares_to_zero, ChainComplex):
-                try:
-                    check(generators, boundaries)
-                    messages.append(None)
-                except BoundarySquareError as error:
-                    messages.append(str(error))
+            messages = square_verdicts(generators, boundaries)
             assert messages[0] == messages[1]
             verdicts[messages[0] is None] += 1
         assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+    @pytest.mark.parametrize(
+        "boundaries,message",
+        [
+            # d(e) = -b - c: every coefficient -1, so no +1 facet to gather
+            ({1: {0: {0: 1}, 1: {0: -1}}, 2: {0: {0: -1, 1: -1}}}, None),
+            (
+                {1: {0: {0: 1}, 1: {0: 1}}, 2: {0: {0: -1, 1: -1}}},
+                "d(d('e')) = {'a': -2} is nonzero",
+            ),
+            # d(e) is +-1 over facets with coefficient 2: summed exactly
+            ({1: {0: {0: 2}, 1: {0: 2}}, 2: {0: {0: 1, 1: -1}}}, None),
+            (
+                {1: {0: {0: 2}, 1: {0: 1}}, 2: {0: {0: 1}}},
+                "d(d('e')) = {'a': 2} is nonzero",
+            ),
+        ],
+    )
+    def test_square_check_edge_columns(self, boundaries, message):
+        generators = {0: ("a",), 1: ("b", "c"), 2: ("e",)}
+        assert square_verdicts(generators, boundaries) == [message, message]
 
     def test_huge_coefficients_decided_exactly(self):
         # d(b) = N a, d(c) = M a, d(e) = b - c: d(d(e)) = (N - M) a, summed

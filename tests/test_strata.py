@@ -317,8 +317,40 @@ class TestAgainstOracle:
         # a move that keeps the dimension has no row in degree d - 1
         faces = strata._faces
         monkeypatch.setattr(strata, "_faces", lambda key, n: (*faces(key, n), key, 0))
-        with pytest.raises(InvariantError, match="leaves the dimension"):
+        with pytest.raises(InvariantError) as info:
             pol_chain_complex((1, 2), 5)
+        # the first cell of the next level in composition order, named by its
+        # first source in composition order
+        assert str(info.value) == "move from (1,2)@5 leaves the dimension-3 closure cells"
+
+    @pytest.mark.parametrize("weight", range(8))
+    def test_levels_descend_one_dimension(self, weight):
+        for partition in partitions_of(weight):
+            for n in range(weight, 13, 2):
+                levels = strata._closure(partition, n)
+                dimensions = []
+                for keys, moves in levels:
+                    assert keys == sorted(keys, key=strata._mask_order)
+                    assert moves == [strata._faces(key, n) for key in keys]
+                    cells = [StratumCell(strata._parts(key), n) for key in keys]
+                    assert len({cell.dimension for cell in cells}) == 1
+                    dimensions.append(cells[0].dimension)
+                top = dimensions[0]
+                assert dimensions == list(range(top, top - len(levels), -1))
+                parts = [strata._parts(key) for keys, _ in levels for key in keys]
+                assert len(parts) == len(set(parts))
+                assert set(parts) == oracle_closure(partition, n)
+
+    def test_levels_dropped_once_read(self, monkeypatch):
+        # pol_chain_complex pops every level of the walk it is handed
+        walks = []
+        closure = strata._closure
+        monkeypatch.setattr(
+            strata, "_closure", lambda *a: walks.append(closure(*a)) or walks[-1]
+        )
+        complex_ = pol_chain_complex((1, 1, 2), 8)
+        assert walks == [[]]
+        assert chain_homology(complex_) == pol_homology((1, 1, 2), 8)
 
     def test_literal_parity_square_names_cells(self, monkeypatch):
         faces = strata._faces
