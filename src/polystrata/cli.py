@@ -1,5 +1,10 @@
 """Command-line surface: compute homology, run verification suites, tabulate, export.
 
+A command parses its options, computes one result and picks a format: the
+result renders itself (``to_<format>``), in its type's own module.  ``export``
+reads one table, ``EXPORTS``: per object, the options it needs, those it may
+also read and the function that builds it.
+
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 internal
 invariant failure, 4 any other internal error, such as running out of memory.
 All regular output goes to standard output, diagnostics to standard error;
@@ -9,7 +14,6 @@ exports are deterministic for identical inputs.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 
 import click
@@ -21,7 +25,7 @@ from .hyperbolic import (
 )
 from .iterated import c_lambda_d_poset, iterated_poset
 from .permutahedron import permutahedron_face_poset
-from .posets import PosetError, face_poset
+from .posets import PosetError
 from .resonance import primitive_identities
 from .strata import StratumError, closure_poset, pol_homology, stabilization_report
 from .verify import SUITES, partitions_of
@@ -54,23 +58,19 @@ def _guard(func):
     return wrapper
 
 
-def _render_homology(result, fmt):
-    if fmt == "json":
-        click.echo(result.to_json())
-    elif fmt == "csv":
-        click.echo("degree,betti,torsion")
-        for q, b, t in result.groups:
-            click.echo("%d,%d,%s" % (q, b, ";".join(map(str, t))))
-    else:
-        click.echo(str(result))
+def _show(result, fmt, *args):
+    """Print ``result.to_<fmt>(*args)``, ending it in exactly one newline."""
+    text = getattr(result, "to_" + fmt)(*args)
+    click.echo(text, nl=not text.endswith("\n"))
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    """An integer a, read as the range a..a, or a range a..b."""
+    try:
+        lo, hi = map(int, text.split("..")) if ".." in text else (int(text),) * 2
+    except ValueError:
+        raise ValueError("cannot parse %r as an integer or a range a..b" % text) from None
+    return lo, hi
 
 
 def _refuse_unread(what, given, reads):
@@ -90,7 +90,6 @@ format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
 )
 lambda_option = click.option("--lambda", "parts", required=True, help="comma-separated parts")
-quiet_option = click.option("--quiet", is_flag=True, default=False)
 backends = click.Choice([*BACKENDS, "all"])
 
 
@@ -101,9 +100,7 @@ backends = click.Choice([*BACKENDS, "all"])
 @_guard
 def hyp(parts, backend, fmt):
     """Homology of the compactified closed hyperbolic stratum of a type."""
-    partition = tuple(sorted(parse_parts(parts)))
-    result = hyp_homology(partition, None if backend == "all" else backend)
-    _render_homology(result, fmt)
+    _show(hyp_homology(parse_parts(parts), None if backend == "all" else backend), fmt)
 
 
 @main.command()
@@ -113,8 +110,7 @@ def hyp(parts, backend, fmt):
 @_guard
 def pol(parts, n, fmt):
     """Homology of the compactified closed stratum in ambient degree n."""
-    partition = tuple(sorted(parse_parts(parts)))
-    _render_homology(pol_homology(partition, n), fmt)
+    _show(pol_homology(parse_parts(parts), n), fmt)
 
 
 @main.command(name="order-complex")
@@ -123,8 +119,7 @@ def pol(parts, n, fmt):
 @_guard
 def order_complex_cmd(parts, fmt):
     """Homology of the order complex of the coarsening poset of a type."""
-    partition = tuple(sorted(parse_parts(parts)))
-    _render_homology(PIPELINES["order-complex"](partition), fmt)
+    _show(PIPELINES["order-complex"](parse_parts(parts)), fmt)
 
 
 @main.command()
@@ -133,8 +128,7 @@ def order_complex_cmd(parts, fmt):
 @_guard
 def delta(parts, fmt):
     """Homology of the partial-sum face complex of a type."""
-    partition = tuple(sorted(parse_parts(parts)))
-    _render_homology(PIPELINES["delta"](partition), fmt)
+    _show(PIPELINES["delta"](parse_parts(parts)), fmt)
 
 
 # per suite, the options it reads and the keyword argument each one sets
@@ -156,7 +150,7 @@ SUITE_OPTIONS = {
 @click.option("--n-max", type=int, default=None)
 @click.option("--max-weight", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@quiet_option
+@click.option("--quiet", is_flag=True, default=False)
 @_guard
 def verify(suite, n_range, k_range, l_max, n_max, max_weight, fmt, quiet):
     """Run a named verification suite; exit 1 on any mismatch, 2 on no case.
@@ -172,18 +166,16 @@ def verify(suite, n_range, k_range, l_max, n_max, max_weight, fmt, quiet):
     }
     reads = SUITE_OPTIONS[suite]
     _refuse_unread("suite " + suite, given, reads)
-    given = {option: value for option, value in given.items() if value is not None}
     kwargs = {
         reads[option]: _parse_range(value) if isinstance(value, str) else value
         for option, value in given.items()
+        if value is not None
     }
     report = SUITES[suite](**kwargs)
     if not report.cases:
         raise ValueError("no %s case in the given range" % suite)
-    if fmt == "json":
-        click.echo(report.to_json())
-    elif not quiet:
-        click.echo(report.to_text())
+    if fmt == "json" or not quiet:
+        _show(report, fmt)
     if not report.passed:
         sys.exit(1)
 
@@ -221,22 +213,10 @@ def stabilization(parts, n_min, n_max, fmt):
 
     Flags the first degree where consecutive tables differ.
     """
-    partition = tuple(sorted(parse_parts(parts)))
+    partition = parse_parts(parts)
     if n_min is None:  # a closure fills its whole space only for (1) in degree 1
         n_min = 3 if partition == (1,) else sum(partition)
-    report = stabilization_report(partition, n_min, n_max)
-    if fmt == "csv":
-        click.echo(report.to_csv(), nl=False)
-        return
-    click.echo("lambda = %s" % (partition,))
-    for n, groups in zip(report.ambients, report.tables):
-        click.echo("  n = %d: %s" % (n, groups))
-    pairs = zip(report.ambients, report.ambients[1:])
-    for (a, b), degree in zip(pairs, report.first_unstable):
-        if degree is None:
-            click.echo("  n=%d vs n=%d: tables agree everywhere" % (a, b))
-        else:
-            click.echo("  n=%d vs n=%d: first difference in degree %d" % (a, b, degree))
+    _show(stabilization_report(partition, n_min, n_max), fmt)
 
 
 @main.command()
@@ -263,75 +243,49 @@ def census(max_weight, list_identities):
                 click.echo("    %s: %s" % (partition, pretty))
 
 
-# per export object, the options it reads besides --format
-EXPORT_OPTIONS = {
-    "clambda": ("--lambda", "--d"),
-    "delta": ("--lambda",),
-    "closure-poset": ("--lambda", "--n"),
-    "permutahedron": ("--t",),
-    "iterated": ("--n", "--d"),
+# per export object: the options it needs, those it may also read (besides
+# --format), and the function that builds it from the options
+EXPORTS = {
+    "clambda": (
+        ("--lambda",),
+        ("--d",),
+        lambda parts, d, **_: c_lambda_poset(parse_parts(parts))
+        if d is None
+        else c_lambda_d_poset(parse_parts(parts), d),
+    ),
+    "delta": (("--lambda",), (), lambda parts, **_: delta_lambda_complex(parse_parts(parts))),
+    "closure-poset": (
+        ("--lambda", "--n"),
+        (),
+        lambda parts, n, **_: closure_poset(parse_parts(parts), n),
+    ),
+    "permutahedron": (("--t",), (), lambda t, **_: permutahedron_face_poset(t)),
+    "iterated": (("--n", "--d"), (), lambda n, d, **_: iterated_poset(n, d)),
 }
 
 
 @main.command()
-@click.argument("obj", type=click.Choice(list(EXPORT_OPTIONS)))
+@click.argument("obj", type=click.Choice(list(EXPORTS)))
 @click.option("--lambda", "parts", default=None, help="comma-separated parts")
 @click.option("--n", type=int, default=None)
 @click.option("--d", type=int, default=None)
 @click.option("--t", type=int, default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["dot", "json"]), default="dot"
-)
+@click.option("--format", "fmt", type=click.Choice(["dot", "json"]), default="dot")
 @_guard
 def export(obj, parts, n, d, t, fmt):
     """Export a poset or complex as DOT or JSON, deterministically.
 
     ``clambda`` with ``--d`` exports C_{lambda,d}.  An option that the object
-    does not read is refused with exit 2.
+    does not read, or one it needs and lacks, is refused with exit 2.
     """
     given = {"--lambda": parts, "--n": n, "--d": d, "--t": t}
-    _refuse_unread("export " + obj, given, EXPORT_OPTIONS[obj])
-    if obj == "delta":
-        if parts is None:
-            raise ValueError("--lambda is required")
-        labeled = delta_lambda_complex(tuple(sorted(parse_parts(parts))))
-        if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "vertices": list(labeled.complex.vertices),
-                        "faces": sorted(map(list, labeled.complex.faces)),
-                        "labels": {
-                            ",".join(map(str, f)): list(c)
-                            for f, c in sorted(labeled.labels.items())
-                        },
-                    }
-                )
-            )
-        else:
-            click.echo(face_poset(labeled.complex).to_dot("delta"), nl=False)
-        return
-    if obj == "clambda":
-        if parts is None:
-            raise ValueError("--lambda is required")
-        partition = tuple(sorted(parse_parts(parts)))
-        poset = c_lambda_poset(partition) if d is None else c_lambda_d_poset(partition, d)
-    elif obj == "closure-poset":
-        if parts is None or n is None:
-            raise ValueError("--lambda and --n are required")
-        poset = closure_poset(tuple(sorted(parse_parts(parts))), n)
-    elif obj == "permutahedron":
-        if t is None:
-            raise ValueError("--t is required")
-        poset = permutahedron_face_poset(t)
-    else:
-        if n is None or d is None:
-            raise ValueError("--n and --d are required")
-        poset = iterated_poset(n, d)
-    if fmt == "json":
-        click.echo(poset.to_json())
-    else:
-        click.echo(poset.to_dot(obj.replace("-", "_")), nl=False)
+    needs, optional, build = EXPORTS[obj]
+    _refuse_unread("export " + obj, given, needs + optional)
+    if any(given[option] is None for option in needs):
+        verb = "is" if len(needs) == 1 else "are"
+        raise ValueError("%s %s required" % (" and ".join(needs), verb))
+    name = [obj.replace("-", "_")] if fmt == "dot" else []
+    _show(build(parts=parts, n=n, d=d, t=t), fmt, *name)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ the complex generated by their partial-sum faces.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, index
@@ -58,9 +59,9 @@ def nonempty_partition(parts):
 
 
 def parse_parts(text):
-    """Comma-separated part syntax, e.g. '1,1,2'."""
+    """The type written as comma-separated parts: '2,1,1' is (1, 1, 2)."""
     try:
-        return as_composition(int(p) for p in text.split(","))
+        return as_partition(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError("cannot parse %r as comma-separated parts" % text) from exc
 
@@ -235,6 +236,22 @@ class LabeledComplex:
             face: composition_from_partial_sums(n, _face_mask(face))
             for face in self.complex.faces
         }
+
+    def to_json(self):
+        """The vertices, the faces and each face's label, keyed by its vertices."""
+        return json.dumps(
+            {
+                "vertices": list(self.complex.vertices),
+                "faces": sorted(map(list, self.complex.faces)),
+                "labels": {
+                    ",".join(map(str, f)): list(c) for f, c in sorted(self.labels.items())
+                },
+            }
+        )
+
+    def to_dot(self, name):
+        """The face poset of the complex, in DOT."""
+        return face_poset(self.complex).to_dot(name)
 
 
 def _face_mask(face):

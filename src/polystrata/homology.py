@@ -182,6 +182,12 @@ class HomologyResult:
             parts.append("H_%d = %s" % (q, " + ".join(summands)))
         return "; ".join(parts)
 
+    to_text = __str__
+
+    def to_csv(self):
+        rows = ("%d,%d,%s" % (q, b, ";".join(map(str, t))) for q, b, t in self.groups)
+        return "\n".join(["degree,betti,torsion", *rows])
+
 
 def sphere_homology(d):
     """Reduced homology of S^d; d = -1 is the empty complex."""

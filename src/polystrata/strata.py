@@ -31,8 +31,6 @@ for regression tests (see boundary()).
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -273,13 +271,20 @@ class StabilizationReport:
     first_unstable: tuple  # per consecutive pair: lowest differing degree or None
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "degree", "betti", "torsion"])
+        rows = ["n,degree,betti,torsion"]
         for n, table in zip(self.ambients, self.tables):
-            for q, b, t in table.groups:
-                writer.writerow([n, q, b, ";".join(map(str, t))])
-        return buf.getvalue()
+            rows += ["%d,%s" % (n, row) for row in table.to_csv().splitlines()[1:]]
+        return "\r\n".join(rows) + "\r\n"
+
+    def to_text(self):
+        lines = ["lambda = %s" % (self.partition,)]
+        lines += ["  n = %d: %s" % row for row in zip(self.ambients, self.tables)]
+        for a, b, q in zip(self.ambients, self.ambients[1:], self.first_unstable):
+            if q is None:
+                lines.append("  n=%d vs n=%d: tables agree everywhere" % (a, b))
+            else:
+                lines.append("  n=%d vs n=%d: first difference in degree %d" % (a, b, q))
+        return "\n".join(lines)
 
 
 def stabilization_report(partition, n_min, n_max):

@@ -119,7 +119,8 @@ def quotient_suite(max_t=5, max_weight=12, exemplars=((1, 2, 4, 8), (1, 2, 4, 8,
     """Young-subgroup quotients of the permutahedron match the coarsening posets.
 
     Covers every resonance-free type with at most ``max_t`` parts and weight
-    at most ``max_weight``, plus distinct-part exemplars reaching t = 4, 5.
+    at most ``max_weight``, plus distinct-part exemplars reaching t = 4, 5
+    when that range holds a type: the exemplars alone do not make a range.
     """
     seen = set()
     for n in range(1, max_weight + 1):
@@ -129,7 +130,8 @@ def quotient_suite(max_t=5, max_weight=12, exemplars=((1, 2, 4, 8), (1, 2, 4, 8,
     for partition in exemplars:
         if not is_free_of_resonances(partition):
             raise ValueError("exemplar %r has resonances" % (partition,))
-        seen.add(tuple(sorted(partition)))
+    if seen:
+        seen.update(tuple(sorted(p)) for p in exemplars)
     cases = []
     for partition in sorted(seen, key=lambda p: (sum(p), p)):
         report = quotient_report(partition)

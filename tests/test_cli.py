@@ -10,9 +10,12 @@ import pytest
 from click.testing import CliRunner
 
 from polystrata import cli
+from polystrata.compositions import delta_lambda_complex
 from polystrata.homology import sphere_homology
-from polystrata.hyperbolic import BackendDisagreement
+from polystrata.hyperbolic import BackendDisagreement, hyp_homology
 from polystrata.iterated import c_lambda_d_poset
+from polystrata.posets import face_poset
+from polystrata.strata import stabilization_report
 
 
 @pytest.fixture
@@ -186,6 +189,8 @@ class TestVerify:
             # the literal-parity case alone does not make a range
             ["d-squared", "--n-max", "0"],
             ["d-squared", "--l", "-1"],
+            # nor do the two fixed exemplars
+            ["prop-3-7", "--max-weight", "0"],
         ],
     )
     def test_no_cases_exit_2(self, runner, args):
@@ -212,6 +217,24 @@ class TestVerify:
         result = runner.invoke(cli.main, ["verify", *args])
         assert result.exit_code == 2
         assert result.stderr == message
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["hook", "--n", "a..b"], "a..b"),
+            (["hook", "--n", "3.."], "3.."),
+            (["hook", "--n", "2..3..4"], "2..3..4"),
+            (["hook", "--n", "2..3", "--k", "x"], "x"),
+            (["prop-3-11", "--n", ".."], ".."),
+        ],
+    )
+    def test_malformed_range_exit_2(self, runner, args, text):
+        result = runner.invoke(cli.main, ["verify", *args])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: cannot parse '%s' as an integer or a range a..b\n" % text
+        )
         assert result.stdout == ""
 
 
@@ -457,8 +480,21 @@ class TestExport:
         assert result.exit_code == 0
 
     def test_missing_options_exit_2(self, runner):
-        assert runner.invoke(cli.main, ["export", "clambda"]).exit_code == 2
-        assert runner.invoke(cli.main, ["export", "iterated"]).exit_code == 2
+        # every option an object needs is named, whichever one is missing
+        cases = [
+            (["clambda", "--d", "2"], "--lambda is required"),
+            (["delta", "--format", "json"], "--lambda is required"),
+            (["closure-poset", "--lambda", "1,2"], "--lambda and --n are required"),
+            (["closure-poset", "--n", "5"], "--lambda and --n are required"),
+            (["permutahedron"], "--t is required"),
+            (["iterated"], "--n and --d are required"),
+            (["iterated", "--d", "2"], "--n and --d are required"),
+        ]
+        for args, message in cases:
+            result = runner.invoke(cli.main, ["export", *args])
+            assert result.exit_code == 2
+            assert result.stderr == "error: %s\n" % message
+            assert result.stdout == ""
 
     @pytest.mark.parametrize(
         "args, message",
@@ -512,6 +548,43 @@ class TestExport:
         )
         assert result.exit_code == 2
         assert result.stderr == "error: need d >= 1\n"
+
+
+class TestResultsRenderThemselves:
+    """Each printed result renders itself: the CLI prints its bytes as they are
+    (``stdout_bytes``: ``output`` folds \r\n into \n)."""
+
+    @pytest.mark.parametrize("partition", [(1,), (1, 2), (1, 1, 2), (1, 2, 2, 3)])
+    def test_delta_export(self, runner, partition):
+        labeled = delta_lambda_complex(partition)
+        args = ["export", "delta", "--lambda", ",".join(map(str, partition[::-1]))]
+        result = runner.invoke(cli.main, args + ["--format", "json"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (labeled.to_json() + "\n").encode()
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == labeled.to_dot("delta").encode()
+        assert labeled.to_dot("delta") == face_poset(labeled.complex).to_dot("delta")
+
+    @pytest.mark.parametrize("partition", [(1,), (2,), (1, 2), (1, 1, 2), (3, 3)])
+    def test_homology_csv(self, runner, partition):
+        args = ["hyp", "--lambda", ",".join(map(str, partition)), "--format", "csv"]
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (hyp_homology(partition).to_csv() + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "partition, n_min, n_max", [((1,), 3, 9), ((2,), 2, 8), ((1, 2), 3, 7), ((3,), 3, 3)]
+    )
+    def test_stabilization_text(self, runner, partition, n_min, n_max):
+        report = stabilization_report(partition, n_min, n_max)
+        args = ["stabilization", "--lambda", ",".join(map(str, partition))]
+        args += ["--n-min", str(n_min), "--n-max", str(n_max)]
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (report.to_text() + "\n").encode()
+        result = runner.invoke(cli.main, args + ["--format", "csv"])
+        assert result.exit_code == 0 and result.stdout_bytes == report.to_csv().encode()
 
 
 @pytest.mark.parametrize(

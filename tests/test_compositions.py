@@ -82,6 +82,7 @@ class TestBasics:
 
     def test_parse_parts(self):
         assert parse_parts("1,1,2") == (1, 1, 2)
+        assert parse_parts("2,1,1") == (1, 1, 2)  # the type: parts sorted
         with pytest.raises(ValueError):
             parse_parts("1,x")
 

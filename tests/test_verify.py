@@ -89,3 +89,7 @@ class TestReports:
     def test_resonant_exemplar_refused(self):
         with pytest.raises(ValueError, match=r"\(1, 2, 3\)"):
             quotient_suite(max_weight=3, exemplars=((1, 2, 3),))
+        # also when the range holds no type and no exemplar is added
+        with pytest.raises(ValueError, match=r"\(1, 2, 3\)"):
+            quotient_suite(max_weight=0, exemplars=((1, 2, 3),))
+        assert quotient_suite(max_weight=0).cases == ()
