@@ -213,10 +213,7 @@ def stabilization(parts, n_min, n_max, fmt):
 
     Flags the first degree where consecutive tables differ.
     """
-    partition = parse_parts(parts)
-    if n_min is None:  # a closure fills its whole space only for (1) in degree 1
-        n_min = 3 if partition == (1,) else sum(partition)
-    _show(stabilization_report(partition, n_min, n_max), fmt)
+    _show(stabilization_report(parse_parts(parts), n_min, n_max), fmt)
 
 
 @main.command()

@@ -320,11 +320,7 @@ def closure_collapse_report(partition):
 
     image = closure_image(faces, closure)
     c_poset = c_lambda_poset(partition)
-    n = weight(partition)
-    iso = {
-        face: composition_from_partial_sums(n, _face_mask(face))
-        for face in image.elements
-    }
+    iso = {face: delta.labels[face] for face in image.elements}
     return CollapseReport(
         partition,
         iso if check_isomorphism(image, c_poset.dual(), iso) else None,

@@ -160,7 +160,6 @@ def quotient_report(partition):
     else:
         action = GroupAction.trivial(Poset((), set()))
     quotient = quotient_poset(action.poset, action)
-    c_poset = coarsening_poset(partition)
     homology = PIPELINES["order-complex"](partition)
     if identities:
         seen = {}
@@ -175,6 +174,7 @@ def quotient_report(partition):
     mapping = {
         orbit: block_sums(partition, orbit[0]) for orbit in quotient.elements
     }
+    c_poset = coarsening_poset(partition)
     iso = mapping if check_isomorphism(quotient, c_poset, mapping) else None
     if len(set(partition)) == t:
         expected = sphere_homology(t - 2)

@@ -19,7 +19,7 @@ import json
 import operator
 from itertools import product
 
-from .homology import SimplicialComplex, _face_table, _faces
+from .homology import SimplicialComplex
 
 
 class PosetError(Exception):
@@ -254,19 +254,18 @@ def order_complex(poset):
 
     Chains grow level by level, each as a parent chain and a new last
     element, and are fed in that order straight into the face table (see
-    ``homology._face_table``), so no chain tuple is built or hashed until the
-    faces are read.  That needs every chain to be a sorted tuple, which holds
-    when index order is a linear extension, as for C_λ, coarsening and face
-    posets.  Otherwise (a dual C_λ, say) the chains, enumerated the same way
-    as sequences, are decoded, sorted and checked as given faces.
+    ``SimplicialComplex._grown``), so no chain tuple is built or hashed until
+    the faces are read.  That needs every chain to be a sorted tuple, which
+    holds when index order is a linear extension, as for C_λ, coarsening and
+    face posets.  Otherwise (a dual C_λ, say) the grown chains are decoded,
+    sorted and checked as given faces.
     """
     up = [tuple(_bits(mask)) for mask in poset._above]
-    levels = _chain_levels(up)
+    complex_ = SimplicialComplex._grown(poset.elements, _chain_levels(up))
     if any(mask & ((1 << i) - 1) for i, mask in enumerate(poset._above)):
-        cells = _faces(_face_table(len(up), levels))
-        faces = frozenset(map(tuple, map(sorted, cells[1:])))
+        faces = frozenset(map(tuple, map(sorted, complex_.faces)))
         return SimplicialComplex(poset.elements, faces)
-    return SimplicialComplex._grown(poset.elements, levels)
+    return complex_
 
 
 def _chain_levels(up):

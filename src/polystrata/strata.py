@@ -233,11 +233,14 @@ def closure_poset(partition, n):
     return Poset([StratumCell(_parts(key), n) for key in keys], covers)
 
 
-def _total_cell_count(n):
-    total = 0
-    for m in range(n % 2, n + 1, 2):
-        total += 1 if m == 0 else 2 ** (m - 1)
-    return total
+def fills_space(partition, n):
+    """Whether the closure of the type's cells is the whole degree-n space.
+
+    Only the closure of (1^n) holds the top cell (1^n)@n, and it misses the
+    cells of weight below n, which exist once n >= 2: so only (1^n) for
+    n <= 1 fills its space, and only there is the complement empty.
+    """
+    return 0 <= n <= 1 and comps.as_partition(partition) == (1,) * n
 
 
 def complement_cohomology(partition, n):
@@ -248,19 +251,14 @@ def complement_cohomology(partition, n):
     down by universal coefficients.  Rejects closures filling the whole
     coefficient space, where the complement is empty.
     """
-    complex_ = pol_chain_complex(partition, n)
-    if sum(map(len, complex_.generators.values())) == _total_cell_count(n):
+    if fills_space(partition, n):
         raise StratumError(
             "closure of %r fills the whole degree-%d space" % (tuple(partition), n)
         )
-    h = chain_homology(complex_)
-    groups = {}
-    for q in range(0, n):
-        betti = h.betti(n - q - 1)
-        torsion = h.torsion(n - q - 2)
-        if betti or torsion:
-            groups[q] = (betti, torsion)
-    return HomologyResult.of(groups)
+    h = pol_homology(partition, n)
+    return HomologyResult.of(
+        {q: (h.betti(n - q - 1), h.torsion(n - q - 2)) for q in range(n)}
+    )
 
 
 @dataclass(frozen=True)
@@ -274,7 +272,7 @@ class StabilizationReport:
         rows = ["n,degree,betti,torsion"]
         for n, table in zip(self.ambients, self.tables):
             rows += ["%d,%s" % (n, row) for row in table.to_csv().splitlines()[1:]]
-        return "\r\n".join(rows) + "\r\n"
+        return "\n".join(rows) + "\n"
 
     def to_text(self):
         lines = ["lambda = %s" % (self.partition,)]
@@ -290,6 +288,8 @@ class StabilizationReport:
 def stabilization_report(partition, n_min, n_max):
     """Complement tables for ambient degrees n_min, n_min+2, ..., side by side.
 
+    ``n_min`` None is the lowest degree whose complement is nonempty: the
+    weight, or the weight + 2 where the closure fills its space.
     Consecutive tables of a type with t parts and weight l agree, Betti
     numbers and torsion, in every degree q < (c - 1) + e, where c = l - t is
     the codimension and e = (n - l)/2 counts the elliptic factors at the
@@ -297,21 +297,16 @@ def stabilization_report(partition, n_min, n_max):
     """
     partition = comps.as_partition(partition)
     l = sum(partition)
+    if n_min is None:
+        n_min = l + 2 if fills_space(partition, l) else l
     if n_min < l or (n_min - l) % 2:
         raise StratumError("n_min must be weight + 2k")
     ambients = tuple(range(n_min, n_max + 1, 2))
     if not ambients:
         raise StratumError("empty ambient range")
     tables = tuple(complement_cohomology(partition, n) for n in ambients)
-    unstable = []
-    for t1, t2 in zip(tables, tables[1:]):
-        degrees = sorted(
-            {q for q, _, _ in t1.groups} | {q for q, _, _ in t2.groups}
-        )
-        diff = None
-        for q in degrees:
-            if t1.betti(q) != t2.betti(q) or t1.torsion(q) != t2.torsion(q):
-                diff = q
-                break
-        unstable.append(diff)
-    return StabilizationReport(partition, ambients, tables, tuple(unstable))
+    unstable = tuple(
+        min((q for q, _, _ in set(t1.groups) ^ set(t2.groups)), default=None)
+        for t1, t2 in zip(tables, tables[1:])
+    )
+    return StabilizationReport(partition, ambients, tables, unstable)

@@ -338,9 +338,9 @@ class TestTables:
                 "4c545cbc60e3c447b44c5e8faf7645b65749d10031333ab0c2813ecf641d81d9",
             ),
             (
-                # csv.writer ends rows with \r\n, so hash the raw bytes
+                # ends its lines in LF, like every other output
                 ["stabilization", "--lambda", "1,2", "--n-max", "9", "--format", "csv"],
-                "68858d225a1eec899def7d45ee92662f7c57c09712e157c85b5e38e61f2bb2fa",
+                "d120bf0866644cd6969fec93fc558ebafe68d22e9215dd1fb561e94d7b79e39d",
             ),
             (
                 ["stabilization", "--lambda", "3", "--n-max", "7"],
@@ -585,6 +585,46 @@ class TestResultsRenderThemselves:
         assert result.stdout_bytes == (report.to_text() + "\n").encode()
         result = runner.invoke(cli.main, args + ["--format", "csv"])
         assert result.exit_code == 0 and result.stdout_bytes == report.to_csv().encode()
+
+
+def _every_command_and_format():
+    """Each command and each of its formats, on a small input."""
+    homology = [["hyp", "--lambda", "1,2"], ["pol", "--lambda", "1,2", "--n", "5"]]
+    homology += [["order-complex", "--lambda", "1,2"], ["delta", "--lambda", "1,2"]]
+    suites = {
+        "hook": ["--n", "2..4", "--k", "2..3"],
+        "resonance-free": ["--max-weight", "4"],
+        "prop-3-7": ["--max-weight", "4"],
+        "prop-3-11": ["--n", "2..3"],
+        "paper-table": [],
+        "d-squared": ["--l", "3", "--n-max", "5"],
+    }
+    exports = {
+        "clambda": ["--lambda", "1,2,3"],
+        "delta": ["--lambda", "1,2,3"],
+        "closure-poset": ["--lambda", "1,2", "--n", "5"],
+        "permutahedron": ["--t", "3"],
+        "iterated": ["--n", "3", "--d", "2"],
+    }
+    stabilization = ["stabilization", "--lambda", "1,2", "--n-max", "7"]
+    return [
+        *(args + ["--format", f] for args in homology for f in ("text", "json", "csv")),
+        *(["verify", s, *a, "--format", f] for s, a in suites.items() for f in ("text", "json")),
+        ["table", "--max-weight", "3"],
+        ["census", "--max-weight", "6", "--list-identities"],
+        *(stabilization + ["--format", f] for f in ("text", "csv")),
+        *(["export", o, *a, "--format", f] for o, a in exports.items() for f in ("dot", "json")),
+    ]
+
+
+@pytest.mark.parametrize("args", _every_command_and_format(), ids=" ".join)
+def test_output_bytes_end_in_one_lf(runner, args):
+    # stdout_bytes, not output: CliRunner.output folds \r\n into \n
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0
+    out = result.stdout_bytes
+    assert b"\r" not in out
+    assert out.endswith(b"\n") and not out.endswith(b"\n\n")
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,12 @@ from polystrata.homology import (
 from polystrata.strata import (
     StratumCell,
     StratumError,
-    _total_cell_count,
     boundary,
     boundary_of_chain,
     closure_cells,
     closure_poset,
     complement_cohomology,
+    fills_space,
     pol_chain_complex,
     pol_homology,
     stabilization_report,
@@ -116,6 +116,15 @@ def oracle_chain_complex(n, boundaries):
         if cols:
             columns[d] = cols
     return {d: tuple(cs) for d, cs in by_dim.items()}, columns
+
+
+def _total_cell_count(n):
+    """Cells of the whole degree-n space: every composition of a weight of
+    n's parity, the empty one included."""
+    total = 0
+    for m in range(n % 2, n + 1, 2):
+        total += 1 if m == 0 else 2 ** (m - 1)
+    return total
 
 
 def by_parts(chain, n):
@@ -411,8 +420,31 @@ class TestComplement:
 
     def test_full_closure_rejected(self):
         # every degree-1 polynomial has a real root: the complement is empty
+        with pytest.raises(StratumError, match=r"closure of \(1,\) fills the whole degree-1"):
+            complement_cohomology((1,), 1)
+
+    def test_full_closure_rejected_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a closure")
+
+        monkeypatch.setattr(strata, "_closure", refuse)
         with pytest.raises(StratumError):
             complement_cohomology((1,), 1)
+        with pytest.raises(StratumError):
+            complement_cohomology((), 0)
+
+    def test_fills_space_agrees_with_cell_count_and_duality(self):
+        # the closure is the whole space iff it has every cell, iff its
+        # compactification is the n-sphere: H_n = Z
+        cases = 0
+        for n in range(11):
+            for weight in range(n % 2, n + 1, 2):
+                for partition in partitions_of(weight) if weight else [()]:
+                    full = len(closure_cells(partition, n)) == _total_cell_count(n)
+                    assert fills_space(partition, n) == full, (partition, n)
+                    assert (pol_homology(partition, n).betti(n) == 1) == full
+                    cases += 1
+        assert cases == 253
 
     def test_elliptic_region_complement_is_contractible(self):
         assert complement_cohomology((), 2) == HomologyResult.of({})
@@ -469,6 +501,30 @@ class TestStabilization:
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "n,degree,betti,torsion"
         assert len(lines) == 3
+
+    def test_csv_ends_lines_in_lf(self):
+        text = stabilization_report((1, 2), 3, 9).to_csv()
+        assert "\r" not in text and text.endswith("\n") and not text.endswith("\n\n")
+
+    @pytest.mark.parametrize("partition, low", [((1,), 3), ((2,), 2), ((1, 2), 3), ((), 2)])
+    def test_default_n_min_is_the_lowest_nonempty_complement(self, partition, low):
+        report = stabilization_report(partition, None, 9)
+        assert report.ambients[0] == low
+        assert report == stabilization_report(partition, low, 9)
+
+    def test_first_unstable_is_the_lowest_differing_degree(self):
+        # the oracle: compare Betti numbers and torsion degree by degree
+        for weight in range(1, 6):
+            for partition in partitions_of(weight):
+                report = stabilization_report(partition, None, 11)
+                pairs = zip(report.tables, report.tables[1:])
+                for (t1, t2), unstable in zip(pairs, report.first_unstable):
+                    differ = [
+                        q
+                        for q in range(12)
+                        if (t1.betti(q), t1.torsion(q)) != (t2.betti(q), t2.torsion(q))
+                    ]
+                    assert unstable == (differ[0] if differ else None), partition
 
     def test_bad_ranges(self):
         with pytest.raises(StratumError):
