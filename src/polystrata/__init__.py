@@ -30,10 +30,9 @@ from .iterated import IteratedComposition, c_lambda_d_poset, iterated_poset
 from .permutahedron import (
     permutahedron_face_poset,
     quotient_report,
-    young_subgroup_action,
+    young_orbit_key,
 )
 from .posets import (
-    GroupAction,
     Poset,
     closure_image,
     order_complex,

@@ -13,19 +13,18 @@ everything) are weakly ordered in the s-th coordinate.  Only the poset and
 dimensions live here; boundary maps of these cells for d >= 2 are out of
 scope.
 
-``iterated_poset`` enumerates the merge-count codes once, in base d + 1, and
-builds each element's levels straight from its code; an up-cover adds one
-power of d + 1 to the code, so covers are found by index, not by hashing
-elements.  The merge counts are still re-read from the levels and checked
-against the product of chains on every call.  ``c_lambda_d_poset`` reads
-C_lambda's masks through ``compositions._unions``, where that rule lives.
+``iterated_poset`` reads its covers off the product of chains it is
+certified against: the chains' elements are the merge counts, each
+element's levels are built straight from them, and each chain cover maps to
+a cover of the levels.  The merge counts are still re-read from the levels
+and checked against the product of chains on every call.
+``c_lambda_d_poset`` reads C_lambda's masks through ``compositions._unions``,
+where that rule lives.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from itertools import product
 from operator import index
 
 from .compositions import _unions, nonempty_partition, positions
@@ -69,11 +68,6 @@ class IteratedComposition:
             sum(1 for a in self.levels if p in a) for p in range(1, self.ambient)
         )
 
-    def to_json(self):
-        return json.dumps(
-            {"ambient": self.ambient, "levels": [list(a) for a in self.levels]}
-        )
-
 
 def _unchecked(n, levels):
     """An element whose levels are sorted, nested and in range by construction."""
@@ -98,24 +92,15 @@ def iterated_poset(n, d):
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    # digits[k] are the merge counts of code k in base d + 1, position 1 first
-    digits = list(product(range(d + 1), repeat=n - 1))
-    levels = [_merged_levels(n, d, counts) for counts in digits]
-    order = sorted(range(len(digits)), key=levels.__getitem__)
-    rank = [0] * len(digits)
+    chains = product_of_chains(n - 1, d + 1)
+    levels = [_merged_levels(n, d, counts) for counts in chains.elements]
+    order = sorted(range(len(levels)), key=levels.__getitem__)
+    rank = [0] * len(levels)
     elements = []
     for i, k in enumerate(order):
         rank[k] = i
         elements.append(_unchecked(n, levels[k]))
-    steps = [(d + 1) ** (n - 2 - p) for p in range(n - 1)]
-    covers = [
-        (rank[k], rank[k + step])
-        for k, counts in enumerate(digits)
-        for c, step in zip(counts, steps)
-        if c < d
-    ]
-    poset = Poset(elements, covers)
-    chains = product_of_chains(n - 1, d + 1)
+    poset = Poset(elements, [(rank[a], rank[b]) for a, b in chains.covers])
     if not check_isomorphism(poset, chains, {e: e.merge_counts() for e in elements}):
         raise InvariantError("merge counts do not map onto the product of chains")
     return poset

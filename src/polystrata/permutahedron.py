@@ -12,12 +12,14 @@ coarsening poset of the type, via summing the parts over each block.  With
 a resonance present the block-sum map collides; the report exhibits a
 witness instead of an isomorphism.
 
-The face poset of t letters and the index permutation of each adjacent
-transposition (p, p+1) are built once and memoised, per t and per (t, p)
-(``_permutahedron``, ``_transposition``): the ``prop-3-7`` suite quotients
-the same few face posets, t <= 5, for every type it checks.  Each
-Young-subgroup action still checks its generators.  ``quotient_report``
-takes C_lambda's homology from ``hyperbolic.PIPELINES["order-complex"]``.
+Two ordered set partitions lie in one orbit of the Young subgroup exactly
+when relabelling each letter x by its part gives the same sequence of
+blocks, so the orbits are the fibres of that relabelling
+(``young_orbit_key``) and no group element is built.  The face poset of t
+letters is built once and memoised per t (``_permutahedron``): the
+``prop-3-7`` suite quotients the same few face posets, t <= 5, for every
+type it checks.  ``quotient_report`` takes C_lambda's homology from
+``hyperbolic.PIPELINES["order-complex"]``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cache
 from .compositions import as_partition, coarsening_poset
 from .homology import HomologyResult, sphere_homology
 from .hyperbolic import PIPELINES
-from .posets import GroupAction, Poset, check_isomorphism, quotient_poset
+from .posets import Poset, check_isomorphism, quotient_poset
 from .resonance import primitive_identities
 
 
@@ -73,17 +75,6 @@ def _permutahedron(t):
     return Poset(elements, covers)
 
 
-@cache
-def _transposition(t, p):
-    """The index permutation relabeling the face poset of t letters by (p, p+1)."""
-    faces = _permutahedron(t)
-    swap = {p: p + 1, p + 1: p}
-    return tuple(
-        faces.index(tuple(tuple(sorted(swap.get(x, x) for x in b)) for b in blocks))
-        for blocks in faces.elements
-    )
-
-
 def permutahedron_face_poset(t):
     """Ordered set partitions of [t] with >= 2 blocks; finer below coarser.
 
@@ -92,20 +83,16 @@ def permutahedron_face_poset(t):
     return _permutahedron(operator.index(t))
 
 
-def young_subgroup_action(partition):
-    """Action of the subgroup permuting positions with equal part values.
+def young_orbit_key(partition):
+    """Key whose fibres on the face poset are the Young-subgroup orbits.
 
-    Parts are sorted ascending and assigned to ground elements 1..t; the
-    generators are the adjacent transpositions inside each run of equal
-    parts, acting on the face poset of t letters by relabeling.
+    Parts are sorted ascending and assigned to ground elements 1..t; the key
+    relabels each letter x by its part, so two faces share a key exactly when
+    a permutation of letters with equal parts carries one to the other.  The
+    letters of a block ascend and so do their parts: no sort is needed.
     """
     partition = as_partition(partition)
-    t = len(partition)
-    faces = _permutahedron(t)
-    gens = [
-        _transposition(t, p) for p in range(1, t) if partition[p - 1] == partition[p]
-    ]
-    return GroupAction(faces, gens)
+    return lambda blocks: tuple(tuple(partition[x - 1] for x in b) for b in blocks)
 
 
 def block_sums(partition, blocks):
@@ -155,11 +142,8 @@ def quotient_report(partition):
     partition = as_partition(partition)
     t = len(partition)
     identities = tuple(primitive_identities(partition))
-    if t >= 2:
-        action = young_subgroup_action(partition)
-    else:
-        action = GroupAction.trivial(Poset((), set()))
-    quotient = quotient_poset(action.poset, action)
+    faces = _permutahedron(t) if t >= 2 else Poset((), ())
+    quotient = quotient_poset(faces, young_orbit_key(partition))
     homology = PIPELINES["order-complex"](partition)
     if identities:
         seen = {}

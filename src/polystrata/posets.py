@@ -4,8 +4,9 @@ A Poset stores an indexed tuple of hashable element keys and an irredundant
 cover relation on indices; the strict order is derived on construction as
 int index masks (bit j of ``_above[i]`` is set iff element i < element j).
 Orders given as relations reach their covers through one transitive
-reduction, ``Poset._from_below``.  Cover indices and generator entries pass
-through ``operator.index``, so a float is a TypeError, not truncated.  All
+reduction, ``Poset._from_below``.  Cover indices pass through
+``operator.index``, so a float is a TypeError, not truncated.  A quotient
+takes a key function, not a group: its elements are the key's fibres.  All
 values are immutable.
 
 An isomorphism is certified only as a given map: ``check_isomorphism`` tests
@@ -203,52 +204,6 @@ class Poset:
         return "\n".join(lines) + "\n"
 
 
-class GroupAction:
-    """Generators of a group of order-automorphisms, as index permutations."""
-
-    def __init__(self, poset, generators):
-        self.poset = poset
-        n = len(poset.elements)
-        gens = []
-        for g in generators:
-            g = tuple(map(operator.index, g))
-            if sorted(g) != list(range(n)):
-                raise PosetError("generator is not a permutation of the index set")
-            for a, b in poset.covers:
-                if (g[a], g[b]) not in poset.covers:
-                    raise PosetError(
-                        "generator does not map covers to covers: (%d, %d)" % (a, b)
-                    )
-            gens.append(g)
-        self.generators = tuple(gens)
-
-    @staticmethod
-    def trivial(poset):
-        return GroupAction(poset, [])
-
-    def orbits(self):
-        """Orbits as sorted tuples of element indices, sorted by least member."""
-        n = len(self.poset.elements)
-        seen = [False] * n
-        orbits = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            orbit = {i}
-            stack = [i]
-            seen[i] = True
-            while stack:
-                x = stack.pop()
-                for g in self.generators:
-                    y = g[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        stack.append(y)
-            orbits.append(tuple(sorted(orbit)))
-        return sorted(orbits)
-
-
 def order_complex(poset):
     """Complex of all nonempty chains; vertex i is element i of the poset.
 
@@ -311,20 +266,35 @@ def face_poset(complex_):
     return inclusion_poset(faces, [sum(1 << v for v in f) for f in faces])
 
 
-def quotient_poset(poset, action):
-    """Poset of orbits; orbit X <= Y iff some member of X is below some of Y.
+def quotient_poset(poset, key):
+    """Poset of the fibres of ``key``; X <= Y iff some member of X is below one of Y.
 
-    Antisymmetry of the orbit relation is checked, not assumed; a violation
-    raises CycleError naming a witness pair of orbits.
+    A fibre is the tuple of its members in index order, and fibres are
+    ordered by least member.  The fibre relation is checked, not assumed: a
+    fibre with one member below another, or a cycle of fibres, raises
+    CycleError; a relation that is not transitive raises PosetError.
     """
-    orbits = action.orbits()
-    orbit_of = {x: k for k, orbit in enumerate(orbits) for x in orbit}
-    below = [0] * len(orbits)
-    for k, orbit in enumerate(orbits):
-        for x in orbit:
-            for y in _bits(poset._above[x]):
-                below[orbit_of[y]] |= 1 << k
-    keys = [tuple(poset.elements[i] for i in o) for o in orbits]
+    by_key = {}
+    for i, x in enumerate(poset.elements):
+        by_key.setdefault(key(x), []).append(i)
+    fibres = list(by_key.values())
+    fibre_of = {x: k for k, fibre in enumerate(fibres) for x in fibre}
+    keys = [tuple(poset.elements[i] for i in fibre) for fibre in fibres]
+    below = [0] * len(fibres)
+    for k, fibre in enumerate(fibres):
+        up = members = 0
+        for x in fibre:
+            up |= poset._above[x]
+            members |= 1 << x
+        if up & members:
+            x = next(x for x in fibre if poset._above[x] & members)
+            y = next(_bits(poset._above[x] & members))
+            raise CycleError(
+                "fibre %r has %r below %r"
+                % (keys[k], poset.elements[x], poset.elements[y])
+            )
+        for y in _bits(up):
+            below[fibre_of[y]] |= 1 << k
     return Poset._from_below(keys, below)
 
 

@@ -686,6 +686,14 @@ def test_cells_pipeline_golden_digest(runner, args, digest):
             ["verify", "prop-3-11", "--format", "json"],
             "c0630f3803d2bc49a3c44a56e150a5fcbf0cb0cc3ced6374b9f2d7e5f1f6fcd1",
         ),
+        (
+            ["verify", "prop-3-7", "--max-weight", "14", "--format", "json"],
+            "d499b2b5958fd6746f6677148f1ac9dcb02cd0fad99f659be38f37414d9c72be",
+        ),
+        (
+            ["verify", "prop-3-11", "--n", "1..7", "--format", "json"],
+            "519be2d8337be7a1a814accff5826f3efccd0d53dd203d52acae9c4d16166f4f",
+        ),
     ],
 )
 def test_simplicial_pipeline_golden_digest(runner, args, digest):

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from itertools import product
 
@@ -84,10 +83,6 @@ class TestIteratedComposition:
         pi = from_merge_counts(n, d, counts)
         assert pi.merge_counts() == counts
         assert pi.dimension == n * d - sum(counts)
-
-    def test_json(self):
-        pi = IteratedComposition(3, ((1,), (1, 2)))
-        assert json.loads(pi.to_json()) == {"ambient": 3, "levels": [[1], [1, 2]]}
 
 
 class TestIteratedPoset:

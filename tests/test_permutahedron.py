@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -11,7 +11,7 @@ from polystrata.permutahedron import (
     ordered_set_partitions,
     permutahedron_face_poset,
     quotient_report,
-    young_subgroup_action,
+    young_orbit_key,
 )
 from polystrata.posets import order_complex, quotient_poset
 
@@ -30,23 +30,25 @@ def ordered_set_partitions_oracle(t, min_blocks=1):
     return sorted(out, key=lambda p: (-len(p), p))
 
 
-def young_generators_oracle(partition, poset):
-    """Young-subgroup generators found by looking up each relabeled element."""
+def young_orbits_oracle(partition, poset):
+    """Orbits of every permutation of [t] preserving the parts, applied by relabelling.
+
+    Each orbit lists its members in index order; orbits sort by least member.
+    """
     t = len(partition)
-    index = {e: i for i, e in enumerate(poset.elements)}
-    gens = []
-    for p in range(1, t):
-        if partition[p - 1] != partition[p]:
-            continue
-        swap = {p: p + 1, p + 1: p}
-        perm = []
-        for blocks in poset.elements:
-            image = tuple(
-                tuple(sorted(swap.get(x, x) for x in b)) for b in blocks
-            )
-            perm.append(index[image])
-        gens.append(tuple(perm))
-    return tuple(gens)
+    group = [
+        g
+        for g in permutations(range(1, t + 1))
+        if all(partition[g[x - 1] - 1] == partition[x - 1] for x in range(1, t + 1))
+    ]
+    orbits = {
+        frozenset(
+            tuple(tuple(sorted(g[x - 1] for x in b)) for b in blocks) for g in group
+        )
+        for blocks in poset.elements
+    }
+    orbits = [tuple(sorted(orbit, key=poset.index)) for orbit in orbits]
+    return sorted(orbits, key=lambda orbit: poset.index(orbit[0]))
 
 
 def equal_part_patterns(t):
@@ -129,30 +131,24 @@ class TestFacePoset:
 
 
 class TestYoungAction:
+    # the Young subgroup's orbits, taken as the fibres of young_orbit_key
+
     def test_distinct_parts_give_trivial_action(self):
-        action = young_subgroup_action((1, 2, 4))
-        assert action.generators == ()
-
-    def test_equal_parts_give_generators(self):
-        action = young_subgroup_action((2, 2, 2))
-        assert len(action.generators) == 2
-
-    def test_generators_are_involutions(self):
-        action = young_subgroup_action((3, 3))
-        for g in action.generators:
-            assert all(g[g[i]] == i for i in range(len(g)))
+        faces = permutahedron_face_poset(3)
+        quotient = quotient_poset(faces, young_orbit_key((1, 2, 4)))
+        assert quotient.elements == tuple((x,) for x in faces.elements)
 
     def test_orbit_count_for_swap(self):
-        action = young_subgroup_action((5, 5))
-        assert len(action.orbits()) == 1
+        faces = permutahedron_face_poset(2)
+        assert len(quotient_poset(faces, young_orbit_key((5, 5)))) == 1
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
-    def test_generators_match_relabeling_oracle(self, t):
+    def test_fibres_match_orbit_oracle(self, t):
+        faces = permutahedron_face_poset(t)
         for partition in equal_part_patterns(t):
-            action = young_subgroup_action(partition)
-            assert action.poset is permutahedron_face_poset(t)
-            expected = young_generators_oracle(partition, action.poset)
-            assert action.generators == expected, partition
+            quotient = quotient_poset(faces, young_orbit_key(partition))
+            expected = young_orbits_oracle(partition, faces)
+            assert list(quotient.elements) == expected, partition
 
 
 class TestBlockSums:
@@ -193,6 +189,6 @@ class TestQuotientReport:
         from polystrata.compositions import coarsening_poset
 
         for partition in [(1, 2), (1, 1, 3), (2, 2, 2), (1, 2, 4)]:
-            action = young_subgroup_action(partition)
-            quotient = quotient_poset(action.poset, action)
+            faces = permutahedron_face_poset(len(partition))
+            quotient = quotient_poset(faces, young_orbit_key(partition))
             assert len(quotient) == len(coarsening_poset(partition))

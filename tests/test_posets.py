@@ -14,11 +14,10 @@ from polystrata.homology import (
     simplicial_homology,
     sphere_homology,
 )
-from polystrata.permutahedron import permutahedron_face_poset, young_subgroup_action
+from polystrata.permutahedron import permutahedron_face_poset, young_orbit_key
 from polystrata.posets import (
     ClosureLawError,
     CycleError,
-    GroupAction,
     Poset,
     PosetError,
     check_isomorphism,
@@ -59,9 +58,8 @@ class TestPosetConstruction:
         [
             lambda: Poset("abc", [(0.9, 1.7)]),
             lambda: Poset("ab", [(0, 1.0)]),
-            lambda: GroupAction(Poset("ab", []), [(1.2, 0.0)]),
         ],
-        ids=["cover", "integral-float-cover", "generator"],
+        ids=["cover", "integral-float-cover"],
     )
     def test_non_integer_index_refused(self, build):
         # operator.index, not int(): (0.9, 1.7) must not become the cover (0, 1)
@@ -295,54 +293,29 @@ def _powerset(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
-class TestGroupAction:
-    def test_rejects_non_permutation(self):
-        poset = Poset.chain("ab")
-        with pytest.raises(PosetError):
-            GroupAction(poset, [(0, 0)])
-
-    def test_rejects_non_automorphism(self):
-        poset = Poset.chain("ab")
-        with pytest.raises(PosetError):
-            GroupAction(poset, [(1, 0)])
-
-    def test_orbits(self):
-        poset = Poset("abcd", ())
-        action = GroupAction(poset, [(1, 0, 2, 3), (0, 1, 3, 2)])
-        assert action.orbits() == [(0, 1), (2, 3)]
-
-    def test_trivial_orbits_are_singletons(self):
-        poset = divisor_poset(6)
-        action = GroupAction.trivial(poset)
-        assert action.orbits() == [(i,) for i in range(len(poset))]
-
-
 class TestQuotient:
     def test_quotient_by_trivial_action_is_isomorphic(self):
+        # the identity key's fibres are the trivial action's orbits
         poset = divisor_poset(12)
-        quotient = quotient_poset(poset, GroupAction.trivial(poset))
+        quotient = quotient_poset(poset, lambda x: x)
         orbit_to_element = {(x,): x for x in poset.elements}
         assert check_isomorphism(quotient, poset, orbit_to_element)
 
     def test_diamond_quotient_is_chain(self):
-        # subsets of [2] ordered by inclusion; swap the two singletons
+        # subsets of [2] ordered by inclusion, keyed by size
         subsets = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
         poset = Poset.from_le(subsets, lambda x, y: x <= y)
-        swap = {1: 2, 2: 1}
-        perm = tuple(
-            poset.index(frozenset(swap[x] for x in s)) for s in subsets
-        )
-        quotient = quotient_poset(poset, GroupAction(poset, [perm]))
-        # an orbit goes to the chain element of its subsets' size
-        by_size = {orbit: "abc"[len(orbit[0])] for orbit in quotient.elements}
+        quotient = quotient_poset(poset, len)
+        assert quotient.elements == ((subsets[0],), tuple(subsets[1:3]), (subsets[3],))
+        by_size = {fibre: "abc"[len(fibre[0])] for fibre in quotient.elements}
         assert check_isomorphism(quotient, Poset.chain("abc"), by_size)
 
     @pytest.mark.parametrize("t", [3, 4])
     def test_young_quotient_matches_from_le(self, t):
-        # orbit X <= Y iff some member of X is <= some member of Y, brute force
+        # fibre X <= Y iff some member of X is <= some member of Y, brute force
         faces = permutahedron_face_poset(t)
         for partition in combinations_with_replacement(range(1, t + 1), t):
-            quotient = quotient_poset(faces, young_subgroup_action(partition))
+            quotient = quotient_poset(faces, young_orbit_key(partition))
             reference = Poset.from_le(
                 quotient.elements,
                 lambda xs, ys: any(faces.leq(x, y) for x in xs for y in ys),
@@ -353,9 +326,29 @@ class TestQuotient:
     @settings(max_examples=15, deadline=None)
     def test_trivial_quotient_property(self, n):
         poset = divisor_poset(n)
-        quotient = quotient_poset(poset, GroupAction.trivial(poset))
+        quotient = quotient_poset(poset, lambda x: x)
         assert len(quotient) == len(poset)
         assert check_isomorphism(quotient, poset, {(x,): x for x in poset.elements})
+
+    def test_fibre_below_itself_refused(self):
+        # a < b < c with a and c in one fibre: named once, with both members
+        key = {"a": 0, "b": 1, "c": 0}.get
+        message = "fibre ('a', 'c') has 'a' below 'c'"
+        with pytest.raises(CycleError, match=re.escape(message)):
+            quotient_poset(Poset.chain("abc"), key)
+
+    def test_two_fibre_cycle_refused(self):
+        # a < b and c < d, keyed {a, d} and {b, c}: each fibre below the other
+        key = {"a": 0, "b": 1, "c": 1, "d": 0}.get
+        message = "relation is not antisymmetric: ('a', 'd') and ('b', 'c')"
+        with pytest.raises(CycleError, match=re.escape(message)):
+            quotient_poset(Poset("abcd", {(0, 1), (2, 3)}), key)
+
+    def test_non_transitive_fibre_relation_refused(self):
+        # a < {b, c} < d, but no member of {a} is below a member of {d}
+        key = {"a": 0, "b": 1, "c": 1, "d": 2}.get
+        with pytest.raises(PosetError, match="relation is not transitive"):
+            quotient_poset(Poset("abcd", {(0, 1), (2, 3)}), key)
 
 
 class TestProductOfChains:
