@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import combinations
 from operator import and_, index
 
 from .homology import HomologyResult, SimplicialComplex, simplicial_homology
@@ -143,24 +144,23 @@ def composition_from_merged_set(n, mask):
 
 
 def compositions_of_type(partition):
-    """Distinct orderings of the part multiset, lexicographically."""
+    """Distinct orderings of the part multiset, lexicographically.
+
+    Each part value in turn takes every combination of the slots still free
+    (marked 0, as parts are positive); the orderings are sorted once.
+    """
     partition = as_partition(partition)
-    counts = sorted(multiplicities(partition).items())
-    out = []
-
-    def rec(prefix, remaining):
-        if not any(c for _, c in remaining):
-            out.append(tuple(prefix))
-            return
-        for k, (value, c) in enumerate(remaining):
-            if c:
-                rec(
-                    prefix + [value],
-                    remaining[:k] + [(value, c - 1)] + remaining[k + 1 :],
-                )
-
-    rec([], counts)
-    return out
+    fills = [[0] * len(partition)]
+    for value, count in multiplicities(partition).items():
+        grown = []
+        for fill in fills:
+            for chosen in combinations([i for i, v in enumerate(fill) if not v], count):
+                order = fill.copy()
+                for i in chosen:
+                    order[i] = value
+                grown.append(order)
+        fills = grown
+    return sorted(map(tuple, fills))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ thousands or hundreds of thousands.  It checks d(d(x)) = 0 on the critical
 cells, reduces each degree's boundary between them with a dense Smith core,
 and checks the cells' Euler characteristic against the Betti numbers.  A
 graded chain complex feeds it its cell table; a simplicial complex feeds it its
-augmented chains from a face table, which one routine builds from faces fed
-level by level as (parent face, new last vertex) pairs and which stores each
-face as that last vertex and the indices of its facets: facets are found
-under integer keys, no face tuple is hashed, and a face is decoded only when
-read.  An order complex feeds its chains to the table as they are enumerated.
+augmented chains from a face table, which stores each face as its last vertex
+and the indices of its facets: no face tuple is hashed, and a face is decoded
+only when read.  Given faces are fed to ``_face_table`` level by level as
+(parent face, new last vertex) pairs, their facets found under integer keys;
+``posets._chain_table`` builds an order complex's table from the up-sets.
 
 All homology here uses the reduced convention.  The empty complex has a single
 reduced homology group Z in degree -1; a point has none.
@@ -382,11 +382,16 @@ def _coreduce(facets, coefficients):
             e = coefficients[s][k]
             if e != 1 and e != -1:
                 continue
+            t = fs[k]
             if flow:  # every flow is 0 until a cell is critical
                 down = facet_flow(s, -e)
                 if down:
-                    flow[fs[k]] = down
-            removed = fs[k], s
+                    flow[t] = down
+            live[t] = live[s] = 0
+            for up in cofaces[t]:
+                count[up] = left = count[up] - 1
+                if left == 1:
+                    append(up)
         else:
             while lowest < n and not live[lowest]:
                 lowest += 1
@@ -394,13 +399,12 @@ def _coreduce(facets, coefficients):
                 break
             boundary[lowest] = facet_flow(lowest, 1)
             flow[lowest] = {lowest: 1}
-            removed = (lowest,)
-        for c in removed:
-            live[c] = 0
-            for up in cofaces[c]:
-                count[up] -= 1
-                if count[up] == 1:
-                    append(up)
+            s = lowest
+            live[s] = 0
+        for up in cofaces[s]:  # the upper cell of a pair, or the critical one
+            count[up] = left = count[up] - 1
+            if left == 1:
+                append(up)
     return boundary
 
 
@@ -462,7 +466,7 @@ def chain_homology(complex_):
 
 
 def _face_table(n, levels):
-    """The face table of faces on n vertices, fed level by level.
+    """The face table of given faces on n vertices, fed level by level.
 
     Each level is a sequence of pairs (parent cell, new last vertex j); cell
     0 is ``()`` and new cells are numbered in the order fed.  The table holds
@@ -471,7 +475,8 @@ def _face_table(n, levels):
     count; no face tuple is built.  The last facet is the parent, and facet
     k < len(parent) the child by j of the parent's facet k, looked up under
     the integer key ``facet * n + j`` among the level before.  A failed
-    lookup is a missing face and raises ValueError.
+    lookup is a missing face and raises ValueError.  Only given faces come
+    here: ``posets._chain_table`` lays out an order complex's table itself.
     """
     last, facets, starts = [-1], [()], [0, 1]
     known = {}  # a level's cells by parent * n + last vertex
@@ -554,13 +559,13 @@ class SimplicialComplex:
     Faces are nonempty sorted tuples of vertex indices, closed under taking
     nonempty subsets.  The empty complex (no faces) is allowed.
 
-    ``_table`` is the face table ``simplicial_homology`` reads, built by
-    ``_face_table``: cells ``()`` and then the faces level by level, each
-    level in chain-enumeration order (by parent cell, then last vertex, so
-    lexicographic for given faces), each cell's facets and the level starts.
-    Faces given from outside are checked one by one as the table is built;
-    ``order_complex`` grows its chains straight into the table through
-    ``_grown``, which decodes ``faces`` only when they are first read.
+    ``_table`` is the face table ``simplicial_homology`` reads: cells ``()``
+    and then the faces level by level, each level in chain-enumeration order
+    (by parent cell, then last vertex, so lexicographic for given faces),
+    each cell's facets and the level starts.  Faces given from outside are
+    checked one by one as ``_face_table`` builds it; ``order_complex`` hands
+    its finished table, built by ``posets._chain_table``, to ``_grown``, and
+    such a complex decodes ``faces`` only when they are first read.
     """
 
     vertices: tuple
@@ -579,15 +584,15 @@ class SimplicialComplex:
         return self.faces
 
     @classmethod
-    def _grown(cls, vertices, levels):
-        """The complex whose faces are fed to ``_face_table`` as ``levels``.
+    def _grown(cls, vertices, table):
+        """The complex of a finished face table, as ``_face_table`` lays it out.
 
-        The faces must be sorted tuples of vertex indices, which only the
-        caller can vouch for; downward closure is still checked.
+        Its faces must be sorted tuples of vertex indices and closed under
+        taking faces, which only the caller can vouch for.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "_table", _face_table(len(vertices), levels))
+        object.__setattr__(self, "_table", table)
         return self
 
     @staticmethod
@@ -618,16 +623,17 @@ class SimplicialComplex:
 def simplicial_homology(complex_):
     """Reduced integral homology of the augmented simplicial chain complex.
 
-    It is computed by ``_reduce`` on the complex's face table: cells ``()``
-    (the augmentation cell, degree -1) and then the faces level by level,
-    with their facets from the table and, as coefficients, one shared
-    alternating-sign tuple per face size.  ``_coreduce`` first pairs the
-    augmentation cell with the first vertex, and the matching depends on cell
-    order: in the table's chain-enumeration order, 45 of the 509,428 faces of
-    the order complex of C_λ for (1,2,3,4,5,6) stay critical, where an
-    arbitrary order within each dimension left 83.  A face is decoded only to
-    name an offender.  The Euler characteristic checked against the Betti
-    numbers is the faces', less 1 for the augmentation cell.
+    It is computed by ``_reduce`` on the complex's face table, however built
+    (see ``SimplicialComplex``): cells ``()`` (the augmentation cell, degree
+    -1) and then the faces level by level, with their facets from the table
+    and, as coefficients, one shared alternating-sign tuple per face size.
+    ``_coreduce`` first pairs the augmentation cell with the first vertex,
+    and the matching depends on cell order: in the table's chain-enumeration
+    order, 45 of the 509,428 faces of the order complex of C_λ for
+    (1,2,3,4,5,6) stay critical, where an arbitrary order within each
+    dimension left 83.  A face is decoded only to name an offender.  The
+    Euler characteristic checked against the Betti numbers is the faces',
+    less 1 for the augmentation cell.
     """
     table = complex_._table
     starts = table[2]  # a start per size 0..d+1, then the count

@@ -7,7 +7,8 @@ Orders given as relations reach their covers through one transitive
 reduction, ``Poset._from_below``.  Cover indices pass through
 ``operator.index``, so a float is a TypeError, not truncated.  A quotient
 takes a key function, not a group: its elements are the key's fibres.  All
-values are immutable.
+values are immutable.  An order complex is built as a finished face table,
+straight from the up-sets (``_chain_table``).
 
 An isomorphism is certified only as a given map: ``check_isomorphism`` tests
 that it is a bijection carrying covers exactly onto covers.  Nothing here
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import operator
-from itertools import product
+from itertools import product, repeat
 
 from .homology import SimplicialComplex
 
@@ -207,36 +208,64 @@ class Poset:
 def order_complex(poset):
     """Complex of all nonempty chains; vertex i is element i of the poset.
 
-    Chains grow level by level, each as a parent chain and a new last
-    element, and are fed in that order straight into the face table (see
-    ``SimplicialComplex._grown``), so no chain tuple is built or hashed until
-    the faces are read.  That needs every chain to be a sorted tuple, which
-    holds when index order is a linear extension, as for C_λ, coarsening and
-    face posets.  Otherwise (a dual C_λ, say) the grown chains are decoded,
-    sorted and checked as given faces.
+    Its face table is built straight from the up-sets by ``_chain_table``
+    and handed to ``SimplicialComplex._grown``, so no chain tuple is built or
+    hashed until the faces are read.  That needs every chain to be a sorted
+    tuple, which holds when index order is a linear extension, as for C_λ,
+    coarsening and face posets.  Otherwise (a dual C_λ, say) the grown chains
+    are decoded, sorted and checked as given faces.
     """
     up = [tuple(_bits(mask)) for mask in poset._above]
-    complex_ = SimplicialComplex._grown(poset.elements, _chain_levels(up))
+    complex_ = SimplicialComplex._grown(poset.elements, _chain_table(up))
     if any(mask & ((1 << i) - 1) for i, mask in enumerate(poset._above)):
         faces = frozenset(map(tuple, map(sorted, complex_.faces)))
         return SimplicialComplex(poset.elements, faces)
     return complex_
 
 
-def _chain_levels(up):
-    """The chains of a poset with strict up-sets ``up``, level by level.
+def _chain_table(up):
+    """The face table of the chains of a poset with strict up-sets ``up``.
 
-    Chain ``c + (k,)`` is fed as the pair (index of c, k), for each k above
-    c's last element j; chains are numbered from 1 in the order fed.
+    Cell 0 is ``()``; the children of chain p, p + (j,) for j in
+    ``up[last(p)]``, are numbered consecutively, level by level in the order
+    of their parents, as ``homology._face_table`` lays them out.  Dropping
+    a vertex of p other than its last from child i gives child i of that
+    facet of p; dropping p's last gives p's sibling by j, at j's rank in the
+    up-set of p's parent; the last facet is p.  So one zip makes a sibling
+    group and only the sibling is looked up.  A missing rank is a missing
+    face and raises ValueError; by induction, every face is checked.  Facet
+    entries are items of one list of cell numbers, one object per number.
     """
-    level = [(0, j) for j in range(len(up))]
-    start = 1
-    while level:
-        yield level
-        level, start = (
-            [(c, k) for c, (_, j) in enumerate(level, start) for k in up[j]],
-            start + len(level),
-        )
+    n = len(up)  # the last rank is cell 0's, read as rank[last[0]]
+    rank = [dict(zip(u, range(len(u)))) for u in [*up, range(n)]]
+    cells = list(range(n + 1))
+    last, facets, starts = [-1, *range(n)], [()] + [(0,)] * n, [0, 1]
+    children = {0: cells[1:]}  # of each cell of the level before that has any
+    lo, hi = 1, n + 1
+    while lo < hi:
+        starts.append(hi)
+        get, groups, c = children.__getitem__, [], hi
+        for p in range(lo, hi):
+            u = up[last[p]]
+            if u:
+                *fs, pp = facets[p]
+                r = rank[last[pp]]
+                siblings = map(children[pp].__getitem__, map(r.__getitem__, u))
+                try:
+                    facets.extend(zip(*map(get, fs), siblings, repeat(cells[p])))
+                except KeyError:
+                    face, j = (), next(j for j in u if j not in r)
+                    while p:
+                        face, p = (last[p],) + face, facets[p][-1]
+                    message = "not downward closed: %r present, %r missing"
+                    raise ValueError(message % (face + (j,), face[:-1] + (j,))) from None
+                last.extend(u)
+                groups.append((p, c, c + len(u)))
+                c += len(u)
+        cells.extend(range(hi, c))
+        children = {p: cells[a:b] for p, a, b in groups}
+        lo, hi = hi, c
+    return last, facets, starts
 
 
 def inclusion_poset(keys, masks):
@@ -302,14 +331,14 @@ def product_of_chains(k, m):
     """Componentwise order on k chains of m elements each; m**k elements."""
     if k < 0 or m < 1:
         raise PosetError("need k >= 0 and m >= 1")
-    elements = sorted(product(range(m), repeat=k))
-    index = {e: i for i, e in enumerate(elements)}
-    covers = set()
-    for e in elements:
-        for pos in range(k):
-            if e[pos] + 1 < m:
-                f = e[:pos] + (e[pos] + 1,) + e[pos + 1 :]
-                covers.add((index[e], index[f]))
+    elements = list(product(range(m), repeat=k))  # in lexicographic order, so
+    steps = [m**pos for pos in reversed(range(k))]  # raising coordinate pos adds steps[pos]
+    covers = [
+        (i, i + step)
+        for i, e in enumerate(elements)
+        for x, step in zip(e, steps)
+        if x + 1 < m
+    ]
     return Poset(elements, covers)
 
 
@@ -348,9 +377,6 @@ def check_isomorphism(p, q, mapping):
         return False
     if set(mapping) != set(p.elements) or set(mapping.values()) != set(q.elements):
         return False
-    mapped = {
-        (q.index(mapping[p.elements[a]]), q.index(mapping[p.elements[b]]))
-        for a, b in p.covers
-    }
-    return mapped == q.covers
+    image = [q.index(mapping[x]) for x in p.elements]
+    return {(image[a], image[b]) for a, b in p.covers} == q.covers
 

@@ -1,15 +1,17 @@
 import random
 import re
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polystrata import homology
 from polystrata.compositions import c_lambda_poset, coarsening_poset
 from polystrata.homology import (
     HomologyResult,
     SimplicialComplex,
+    _face_table,
     _faces,
     simplicial_homology,
     sphere_homology,
@@ -20,6 +22,8 @@ from polystrata.posets import (
     CycleError,
     Poset,
     PosetError,
+    _bits,
+    _chain_table,
     check_isomorphism,
     closure_image,
     face_poset,
@@ -286,6 +290,88 @@ class TestOrderComplexTable:
         assert is_linear_extension(poset) == (name != "dual-c-lambda")
 
 
+def chain_levels(up):
+    """Oracle: the chains of a poset with strict up-sets ``up``, level by level,
+    each fed to ``_face_table`` as (index of its parent chain, new last element),
+    chains numbered from 1 in the order fed."""
+    level = [(0, j) for j in range(len(up))]
+    start = 1
+    while level:
+        yield level
+        level, start = (
+            [(c, k) for c, (_, j) in enumerate(level, start) for k in up[j]],
+            start + len(level),
+        )
+
+
+@st.composite
+def drawn_posets(draw):
+    """A random poset: empty, an antichain, a chain or between, in index order,
+    relabeled or reversed (the last two mostly no linear extension)."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(0, 8))
+    poset = random_poset(rng, n, draw(st.sampled_from((0.0, 0.3, 0.6, 1.0))))
+    shape = draw(st.sampled_from(("index", "relabeled", "dual")))
+    return {"index": poset, "relabeled": relabeled(rng, poset), "dual": poset.dual()}[shape]
+
+
+class TestChainTable:
+    @example(Poset((), ()))
+    @example(Poset(range(3), ()))
+    @example(Poset.chain(range(4)))
+    @example(Poset.chain(range(4)).dual())
+    @given(drawn_posets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_chains_fed_to_face_table(self, poset):
+        up = [tuple(_bits(mask)) for mask in poset._above]
+        assert _chain_table(up) == _face_table(len(up), chain_levels(up))
+
+    @pytest.mark.parametrize(
+        "up, present, missing",
+        [
+            ([(1,), (2,), ()], (0, 1, 2), (0, 2)),
+            ([(1, 2), (2, 3), (3,), ()], (0, 1, 3), (0, 3)),
+            ([(1, 2, 3), (2, 3), (3, 4), (4,), ()], (0, 2, 4), (0, 4)),
+        ],
+    )
+    def test_non_transitive_up_sets_refused(self, up, present, missing):
+        message = "not downward closed: %r present, %r missing" % (present, missing)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _chain_table(up)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _face_table(len(up), chain_levels(up))
+
+    @given(st.lists(st.integers(0, 2**7 - 1), min_size=1, max_size=7))
+    @settings(max_examples=100, deadline=None)
+    def test_any_up_sets_refused_or_built_as_fed(self, masks):
+        # each element i gets a random set of later ones, closed or not
+        n = len(masks)
+        up = [tuple(j for j in range(i + 1, n) if m >> j & 1) for i, m in enumerate(masks)]
+        try:
+            expected = _face_table(len(up), chain_levels(up))
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                _chain_table(up)
+        else:
+            assert _chain_table(up) == expected
+
+    def test_critical_cells_of_c_lambda_12345(self, monkeypatch):
+        seen = []
+        coreduce = homology._coreduce
+        monkeypatch.setattr(
+            homology, "_coreduce", lambda *a: seen.append(coreduce(*a)) or seen[-1]
+        )
+        simplicial_homology(order_complex(c_lambda_poset((1, 2, 3, 4, 5))))
+        (boundary,) = seen
+        assert len(boundary) == 12
+
+    def test_one_object_per_cell_number(self):
+        # facet entries are items of one list of cell numbers, not a fresh
+        # int per entry
+        _, facets, _ = order_complex(c_lambda_poset((1, 1, 1, 2, 2, 2)))._table
+        assert len({id(x) for row in facets for x in row}) <= len(facets)
+
+
 def _powerset(items):
     from itertools import chain, combinations
 
@@ -367,6 +453,13 @@ class TestProductOfChains:
         lattice = Poset.from_le(subsets, lambda x, y: x <= y)
         ones = {e: frozenset(i for i, c in enumerate(e) if c) for e in cube.elements}
         assert check_isomorphism(cube, lattice, ones)
+
+    @pytest.mark.parametrize("k, m", product(range(5), range(1, 5)))
+    def test_matches_componentwise_order(self, k, m):
+        poset = product_of_chains(k, m)
+        elements = sorted(product(range(m), repeat=k))
+        brute = Poset.from_le(elements, lambda x, y: all(map(int.__le__, x, y)))
+        assert poset.elements == brute.elements and poset.covers == brute.covers
 
     def test_invalid_arguments(self):
         with pytest.raises(PosetError):
