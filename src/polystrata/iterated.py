@@ -25,6 +25,7 @@ where that rule lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import index
 
 from .compositions import _unions, nonempty_partition, positions
@@ -64,9 +65,11 @@ class IteratedComposition:
 
     def merge_counts(self):
         """Per position of [n-1], the number of levels merging it."""
-        return tuple(
-            sum(1 for a in self.levels if p in a) for p in range(1, self.ambient)
-        )
+        counts = [0] * (self.ambient - 1)
+        for a in self.levels:
+            for p in a:
+                counts[p - 1] += 1
+        return tuple(counts)
 
 
 def _unchecked(n, levels):
@@ -80,7 +83,7 @@ def _unchecked(n, levels):
 def _merged_levels(n, d, counts):
     """The d levels merging position p at the last counts[p - 1] of them."""
     return tuple(
-        tuple(p for p in range(1, n) if counts[p - 1] >= d - s) for s in range(d)
+        [tuple(compress(range(1, n), map(k.__le__, counts))) for k in range(d, 0, -1)]
     )
 
 

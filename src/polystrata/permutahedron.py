@@ -91,8 +91,8 @@ def young_orbit_key(partition):
     a permutation of letters with equal parts carries one to the other.  The
     letters of a block ascend and so do their parts: no sort is needed.
     """
-    partition = as_partition(partition)
-    return lambda blocks: tuple(tuple(partition[x - 1] for x in b) for b in blocks)
+    part = (None, *as_partition(partition)).__getitem__
+    return lambda blocks: tuple([tuple(map(part, b)) for b in blocks])
 
 
 def block_sums(partition, blocks):

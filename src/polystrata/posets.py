@@ -4,7 +4,8 @@ A Poset stores an indexed tuple of hashable element keys and an irredundant
 cover relation on indices; the strict order is derived on construction as
 int index masks (bit j of ``_above[i]`` is set iff element i < element j).
 Orders given as relations reach their covers through one transitive
-reduction, ``Poset._from_below``.  Cover indices pass through
+reduction, ``Poset._from_below``, a walk over each down-set's covers in a
+linear extension.  Cover indices pass through
 ``operator.index``, so a float is a TypeError, not truncated.  A quotient
 takes a key function, not a group: its elements are the key's fibres.  All
 values are immutable.  An order complex is built as a finished face table,
@@ -49,6 +50,37 @@ def _bits(mask):
         mask ^= low
 
 
+def _covers(below):
+    """The covers of a strict order with down-sets ``below`` in a linear
+    extension, walked from each down-set's top; None if the walk fails."""
+    if any(down >> i for i, down in enumerate(below)):
+        return None
+    covers = []
+    for i, down in enumerate(below):
+        rest = down
+        while rest:
+            j = rest.bit_length() - 1
+            under = below[j]
+            if under & ~down:
+                return None
+            covers.append((j, i))
+            rest &= ~(under | 1 << j)
+    return covers
+
+
+def _refuse(elements, below):
+    """Name the first element whose down-set is not a strict order's."""
+    for i, down in enumerate(below):
+        for j in _bits(down):
+            if below[j] >> i & 1:
+                message = "relation is not antisymmetric: %r and %r"
+                raise CycleError(message % (elements[i], elements[j]))
+        beyond = [k for j in _bits(down) for k in _bits(below[j] & ~down)]
+        if beyond:
+            message = "relation is not transitive: %r is below %r only through others"
+            raise PosetError(message % (elements[min(beyond)], elements[i]))
+
+
 class Poset:
     __slots__ = ("elements", "covers", "_index", "_up", "_above", "_heights")
 
@@ -59,15 +91,16 @@ class Poset:
         if len(self._index) != n:
             raise PosetError("duplicate element keys")
         covers = frozenset((operator.index(a), operator.index(b)) for a, b in covers)
+        self._up = up = [[] for _ in range(n)]
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise PosetError("cover index out of range")
             if a == b:
                 raise PosetError("reflexive cover (%d, %d)" % (a, b))
+            up[a].append(b)
+        for u in up:
+            u.sort()
         self.covers = covers
-        self._up = [[] for _ in range(n)]
-        for a, b in sorted(covers):
-            self._up[a].append(b)
         above = [0] * n
         for a in reversed(self._topological_order()):
             covered = implied = 0
@@ -90,27 +123,24 @@ class Poset:
     def _from_below(elements, below):
         """The one transitive reduction, from strict down-sets as index masks.
 
-        The covers of i are ``below[i]`` minus all that lies below a member of
-        it.  A cycle raises CycleError, a non-transitive relation PosetError.
+        Each down-set is walked from its top in a linear extension (Aho,
+        Garey and Ullman 1972): the highest member left is a cover, its own
+        down-set must lie inside, and both are dropped.  By induction this
+        checks transitivity, reading one down-set per cover.  The extension
+        is index order for composition, face and Young-orbit posets; C_lambda,d
+        (sorted by positions) and ``from_le`` may need the down-sets
+        renumbered by size.  A cycle raises CycleError, a non-transitive
+        relation PosetError.
         """
-        covers = []
-        for i, down in enumerate(below):
-            implied = 0
-            for j in _bits(down):
-                implied |= below[j]
-            if implied >> i & 1:
-                j = next(j for j in _bits(down) if below[j] >> i & 1)
-                raise CycleError(
-                    "relation is not antisymmetric: %r and %r"
-                    % (elements[i], elements[j])
-                )
-            if implied & ~down:
-                k = next(_bits(implied & ~down))
-                raise PosetError(
-                    "relation is not transitive: %r is below %r only through others"
-                    % (elements[k], elements[i])
-                )
-            covers.extend((j, i) for j in _bits(down & ~implied))
+        covers = _covers(below)
+        if covers is None:
+            order = sorted(range(len(below)), key=lambda i: below[i].bit_count())
+            rank = sorted(range(len(order)), key=order.__getitem__)
+            ranked = [sum(1 << rank[j] for j in _bits(below[i])) for i in order]
+            covers = _covers(ranked)
+            if covers is None:
+                _refuse(elements, below)
+            covers = [(order[a], order[b]) for a, b in covers]
         return Poset(elements, covers)
 
     @staticmethod
@@ -184,7 +214,7 @@ class Poset:
         return json.dumps(
             {
                 "elements": [str(e) for e in self.elements],
-                "covers": sorted([a, b] for a, b in self.covers),
+                "covers": [[a, b] for a, up in enumerate(self._up) for b in up],
             }
         )
 
@@ -199,8 +229,7 @@ class Poset:
             lines.append(
                 "  { rank=same; %s }" % " ".join("n%d;" % i for i in by_height[h])
             )
-        for a, b in sorted(self.covers):
-            lines.append("  n%d -> n%d;" % (a, b))
+        lines += ["  n%d -> n%d;" % (a, b) for a, up in enumerate(self._up) for b in up]
         lines.append("}")
         return "\n".join(lines) + "\n"
 

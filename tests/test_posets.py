@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from itertools import combinations_with_replacement, permutations, product
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polystrata import homology
+from polystrata.cli import EXPORTS
 from polystrata.compositions import c_lambda_poset, coarsening_poset
 from polystrata.homology import (
     HomologyResult,
@@ -621,3 +623,179 @@ class TestIsomorphismOracle:
         # a swap may hit an automorphism and another poset may be isomorphic
         if kind not in ("swap", "other"):
             assert verdict == (kind == "relabel")
+
+
+def scan_from_below(elements, below):
+    """Oracle: the full-scan transitive reduction, which ORs the down-set of
+    every member of every down-set."""
+    covers = []
+    for i, down in enumerate(below):
+        implied = 0
+        for j in _bits(down):
+            implied |= below[j]
+        if implied >> i & 1:
+            j = next(j for j in _bits(down) if below[j] >> i & 1)
+            raise CycleError(
+                "relation is not antisymmetric: %r and %r" % (elements[i], elements[j])
+            )
+        if implied & ~down:
+            k = next(_bits(implied & ~down))
+            raise PosetError(
+                "relation is not transitive: %r is below %r only through others"
+                % (elements[k], elements[i])
+            )
+        covers.extend((j, i) for j in _bits(down & ~implied))
+    return Poset(elements, covers)
+
+
+@st.composite
+def relations(draw):
+    """Strict down-sets as index masks: an order, an antichain, a chain or no
+    element at all, in shuffled index order, perhaps with one pair flipped."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("order", "antichain", "chain", "empty")))
+    n = 0 if kind == "empty" else draw(st.integers(1, 9))
+    density = {"antichain": 0.0, "chain": 1.0}.get(kind, 0.0)
+    if kind == "order":
+        density = draw(st.sampled_from((0.2, 0.4, 0.7)))
+    order = random_poset(rng, n, density)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    below = [0] * n
+    for i, mask in enumerate(order._above):
+        for j in _bits(mask):
+            below[perm[j]] |= 1 << perm[i]
+    if n and draw(st.booleans()):
+        below[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return below
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class TestReductionOracle:
+    """``Poset._from_below``'s cover walk against the full scan."""
+
+    @example([])
+    @example([0b1])  # reflexive
+    @example([0b10, 0b1])  # a 2-cycle
+    @example([0, 0b1, 0b10])  # 0 < 1 < 2 without 0 < 2
+    @example([0b110, 0, 0b10])  # the chain 1 < 2 < 0
+    @example([0b100, 0b1, 0b10])  # a 3-cycle
+    @given(relations())
+    @settings(max_examples=400, deadline=None)
+    def test_walk_matches_scan(self, below):
+        elements = tuple("e%d" % i for i in range(len(below)))
+        try:
+            expected = scan_from_below(elements, below)
+        except PosetError as error:
+            with pytest.raises(PosetError) as raised:
+                Poset._from_below(elements, below)
+            assert type(raised.value) is type(error)
+            assert str(raised.value) == str(error)
+        else:
+            poset = Poset._from_below(elements, below)
+            assert poset.covers == expected.covers
+            assert poset._above == expected._above
+
+    def test_one_down_set_read_per_cover(self):
+        poset = coarsening_poset((1, 1, 2, 3, 3, 4))
+        below = [0] * len(poset)
+        for i, mask in enumerate(poset._above):
+            for j in _bits(mask):
+                below[j] |= 1 << i
+        counted = CountingList(below)
+        assert Poset._from_below(poset.elements, counted).covers == poset.covers
+        # one read per cover, where the full scan makes one per comparable pair
+        # (12,436) and a renumbering of this extension two per element (1,822)
+        assert counted.reads == len(poset.covers) == 3356
+
+
+def sorted_pairs_json(poset):
+    """Oracle: the JSON export with the cover pairs sorted."""
+    return json.dumps(
+        {
+            "elements": [str(e) for e in poset.elements],
+            "covers": sorted([a, b] for a, b in poset.covers),
+        }
+    )
+
+
+def sorted_pairs_dot(poset, name="poset"):
+    """Oracle: the DOT export with the cover pairs sorted."""
+    lines = ["digraph %s {" % name, "  rankdir=BT;", "  node [shape=box];"]
+    for i, e in enumerate(poset.elements):
+        lines.append('  n%d [label="%s"];' % (i, str(e).replace('"', "'")))
+    by_height = {}
+    for i, h in enumerate(poset.heights()):
+        by_height.setdefault(h, []).append(i)
+    for h in sorted(by_height):
+        lines.append("  { rank=same; %s }" % " ".join("n%d;" % i for i in by_height[h]))
+    for a, b in sorted(poset.covers):
+        lines.append("  n%d -> n%d;" % (a, b))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+class TestOnePassConstruction:
+    @example(Poset((), ()), random.Random(0))
+    @example(Poset.chain(range(4)).dual(), random.Random(0))
+    @given(drawn_posets(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_cover_containers_agree(self, poset, rng):
+        pairs = list(poset.covers)
+        with_duplicates = pairs + pairs[: len(pairs) // 2]
+        rng.shuffle(with_duplicates)
+        groups = [[] for _ in poset.elements]
+        for a, b in sorted(poset.covers):
+            groups[a].append(b)
+        for covers in (with_duplicates, set(pairs), (pair for pair in pairs)):
+            rebuilt = Poset(poset.elements, covers)
+            assert rebuilt.covers == poset.covers
+            assert rebuilt._up == groups
+            assert rebuilt._above == poset._above
+
+    @pytest.mark.parametrize(
+        "covers, message",
+        [
+            ([(0, 0), (0, 5)], "cover index out of range"),
+            ([(0, 5), (0, 0)], "cover index out of range"),
+            ([(1, 1), (0, 3)], "reflexive cover (1, 1)"),
+            ([(0, 3), (1, 1)], "reflexive cover (1, 1)"),
+        ],
+    )
+    def test_out_of_range_and_reflexive_cover(self, covers, message):
+        with pytest.raises(PosetError, match="^%s$" % re.escape(message)):
+            Poset("abc", covers)
+
+    @given(drawn_posets())
+    @settings(max_examples=100, deadline=None)
+    def test_exports_match_sorted_pairs(self, poset):
+        assert poset.to_json() == sorted_pairs_json(poset)
+        assert poset.to_dot("drawn") == sorted_pairs_dot(poset, "drawn")
+
+    @pytest.mark.parametrize(
+        "obj, options",
+        [
+            ("clambda", dict(parts="1,2,2,3")),
+            ("clambda", dict(parts="1,1,2,5", d=2)),
+            ("delta", dict(parts="1,2,2,3")),
+            ("closure-poset", dict(parts="1,2", n=5)),
+            ("permutahedron", dict(t=4)),
+            ("iterated", dict(n=4, d=2)),
+        ],
+    )
+    def test_cli_exports_match_sorted_pairs(self, obj, options):
+        built = EXPORTS[obj][2](**{"parts": None, "n": None, "d": None, "t": None, **options})
+        if obj == "delta":  # its JSON lists faces, and its DOT is its face poset's
+            assert built.to_dot(obj) == sorted_pairs_dot(face_poset(built.complex), obj)
+        else:
+            assert built.to_json() == sorted_pairs_json(built)
+            assert built.to_dot(obj) == sorted_pairs_dot(built, obj)
