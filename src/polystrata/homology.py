@@ -25,8 +25,9 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress
-from operator import index, lt
+from operator import add, index, lt
 
 
 class InvariantError(Exception):
@@ -240,16 +241,21 @@ class ChainComplex:
                 facets[first[q] + c] = [r + first[q - 1] for r in rows]
                 given.append(first[q] + c)
         self.generators, self._table = gens, (facets, coefficients, starts[:-1])
-        _check_squares_to_zero(facets, coefficients, self._label, given)
+        split = _split(facets, coefficients)
+        _check_squares_to_zero(facets, coefficients, split, self._label, given)
 
     @classmethod
-    def _numbered(cls, generators, table, order):
-        """The complex of a cell table as ``_table`` holds it, ``generators``
-        in ascending degree.  Only the caller can vouch for the table's
-        shape; d(d(x)) = 0 is still checked, on the cells in ``order``."""
+    def _numbered(cls, generators, split, starts, order):
+        """The complex of cells numbered in degree order, given as ``split``:
+        each cell's +1 facets, then its -1 facets, in the table, ``generators``
+        in ascending degree.  Only the caller can vouch for the cells' shape;
+        d(d(x)) = 0 is still checked, on ``split`` and the cells in ``order``."""
         self = object.__new__(cls)
-        self.generators, self._table = generators, table
-        _check_squares_to_zero(table[0], table[1], self._label, order)
+        plus, minus = split
+        facets = list(map(add, plus, minus))
+        coefficients = list(map(_signs, map(len, plus), map(len, minus)))
+        self.generators, self._table = generators, (facets, coefficients, starts)
+        _check_squares_to_zero(facets, coefficients, split, self._label, order)
         return self
 
     def __getattr__(self, name):
@@ -273,22 +279,14 @@ class ChainComplex:
         return list(self.generators)
 
 
-def _check_squares_to_zero(facets, coefficients, name, order):
-    """Raise BoundarySquareError unless d(d(x)) = 0 on the cells of a table.
+# the coefficients of p facets of sign +1, then m of -1: one immutable tuple per
+# shape, shared by every cell of that shape in every table
+_signs = lru_cache(maxsize=None)(lambda p, m: (1,) * p + (-1,) * m)
 
-    ``facets[c]`` lists the indices of cell c's facets, ``coefficients[c]``
-    their coefficients in the same order, and ``name(c)`` names cell c, read
-    only to name an offender.  The cells are checked in ``order``, and the
-    first offender raises.
 
-    Each cell's facets are split into those with coefficient +1 and -1; a
-    cell c with any other coefficient into ``[~c]``, a row no other path
-    reaches.  A column with coefficients +-1 passes when the rows it reaches
-    positively and negatively, gathered by extending lists over its own +1
-    facets and then its -1 facets, are equal once sorted.  Any other column,
-    and any offender, is summed exactly, and its nonzero entries are reported
-    in the order their rows were reached.
-    """
+def _split(facets, coefficients):
+    """Each cell's facets with coefficient +1, and those with -1; a cell c with
+    any other coefficient gets ``[~c]`` and ``[]``, a row no path reaches."""
     plus, minus = [], []
     for c, (fs, cs) in enumerate(zip(facets, coefficients)):
         p, m = [], []
@@ -302,6 +300,24 @@ def _check_squares_to_zero(facets, coefficients, name, order):
                 break
         plus.append(p)
         minus.append(m)
+    return plus, minus
+
+
+def _check_squares_to_zero(facets, coefficients, split, name, order):
+    """Raise BoundarySquareError unless d(d(x)) = 0 on the cells of a table.
+
+    ``facets[c]`` lists the indices of cell c's facets, ``coefficients[c]``
+    their coefficients in the same order, ``split`` splits them by sign as
+    ``_split`` does, and ``name(c)`` names cell c, read only to name an
+    offender.  The cells are checked in ``order``; the first offender raises.
+
+    A column with coefficients +-1 passes when the rows it reaches
+    positively and negatively, gathered by extending lists over its own +1
+    facets and then its -1 facets, are equal once sorted.  Any other column,
+    marked ``[~c]`` by ``_split``, and any offender, is summed exactly, and
+    its nonzero entries are reported in the order their rows were reached.
+    """
+    plus, minus = split
     for c in order:
         p = plus[c]
         if not p or p[0] >= 0:  # not marked [~c]
@@ -428,7 +444,8 @@ def _reduce(facets, coefficients, starts, degrees, label, euler_cells):
     position = dict(zip(cells, range(len(cells))))
     rows = [[position[x] for x in col] for col in boundary.values()]
     values = [tuple(col.values()) for col in boundary.values()]
-    _check_squares_to_zero(rows, values, lambda i: label(cells[i]), range(len(rows)))
+    split = _split(rows, values)
+    _check_squares_to_zero(rows, values, split, lambda i: label(cells[i]), range(len(rows)))
     first = [bisect_left(cells, s) for s in starts] + [len(cells)]
     factors = {}
     for k, q in enumerate(degrees):  # a column's rows are the degree before's

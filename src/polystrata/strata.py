@@ -17,9 +17,10 @@ rest up by 2.  ``StratumCell`` labels a cell, its parts read off the key by
 A closure is walked once, one dimension at a time from the type's cells:
 every move drops the dimension by exactly one, so the targets of one level's
 moves are the whole next level, each of whose keys is checked to have that
-dimension.  The levels' keys are the closure cells, their moves' nonzero
-coefficients the boundary columns and all of their moves the covers of the
-closure poset.
+dimension.  A cell's moves are three lists of targets, by coefficient +1, -1
+and 0.  The levels' keys are the closure cells, their +1 and -1 lists the
+boundary columns, already split by sign as the d(d(x)) = 0 check reads them,
+and all three lists the covers of the closure poset.
 
 The boundary operator combines the alternating merge signs with a sign for
 each insertion that depends on the run of 2's the new part lands in: the
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
 
 from . import compositions as comps
 from .compositions import _mask_order, _parts
@@ -83,14 +83,14 @@ def _dimension(key, n):
 
 def _faces(key, n, literal_parity=False):
     """Every move out of a cell, once each, walking the set bits of ``key``:
-    one flat tuple (target key, coefficient, target key, ...).
+    its target keys with coefficient +1, -1 and 0, as three lists.
 
     Inserting a 2 just before a part 2 gives the same target as inserting it
     after that part, so only the last slot of each run is used; the new 2
     then ends a run of L + 1 twos, L being the 2-parts that end at the bit.
     """
     insert = key.bit_length() < n  # weight + 2 <= n
-    out = []
+    out = [], [], []
     rest = key
     below = k = twos = 0  # k boundaries lie below ``bit``
     while rest:
@@ -98,25 +98,25 @@ def _faces(key, n, literal_parity=False):
         rest ^= bit
         twos = twos + 1 if below << 2 == bit else 0
         if k and rest:
-            out += key ^ bit, -1 if k & 1 else 1
+            out[k & 1].append(key ^ bit)
         if insert and key & 7 * bit != 5 * bit:  # 5: a part 2 starts here
             span = twos if literal_parity else twos + 1  # j2 - j1, or the run length
-            sign = -1 if (k - twos) & 1 else 1
-            out += (key & (2 * bit - 1)) | (key & -bit) << 2, sign if span & 1 else 0
+            target = (key & (2 * bit - 1)) | (key & -bit) << 2
+            out[(k - twos) & 1 if span & 1 else 2].append(target)
         below = bit
         k += 1
-    return tuple(out)
+    return out
 
 
 def _closure(partition, n):
     """The closure of the type's cells in degree n, one level per dimension.
 
     A list of (keys, moves) pairs, highest dimension first: the level's cell
-    keys in ``_mask_order`` and, for each, its moves as the flat tuple
-    (target, coefficient, target, ...) that ``_faces`` returns, zero
-    coefficients included; a pair per move would cost a tuple object each.
-    Each key below the top level is checked to have its level's dimension,
-    an offender named by the first source of a move to it.
+    keys in ``_mask_order`` and, for each, its moves as the three lists of
+    targets, by coefficient +1, -1 and 0, that ``_faces`` returns.  The next
+    level is the union of all three.  Each key below the top level is checked
+    to have its level's dimension, an offender named by the first source of a
+    move to it.
     """
     partition = comps.as_partition(partition)
     l = sum(partition)
@@ -132,12 +132,12 @@ def _closure(partition, n):
         levels.append((keys, moves))
         targets = set()
         for m in moves:
-            targets.update(m[::2])
+            targets.update(*m)
         keys = sorted(targets, key=_mask_order)
         low -= 1
         for target in keys:
             if target.bit_count() - target.bit_length() != low:
-                source = next(k for k, m in zip(*levels[-1]) if target in m[::2])
+                source = next(k for k, m in zip(*levels[-1]) if target in sum(m, []))
                 raise InvariantError(
                     "move from %s leaves the dimension-%d closure cells"
                     % (StratumCell(_parts(source), n), low + n)
@@ -163,8 +163,8 @@ def boundary(cell, literal_parity=False):
     d(d(x)) = 0 and exists only for regression diagnostics.
     """
     n = cell.ambient
-    moves = iter(_faces(_key(cell.parts), n, literal_parity))
-    return {StratumCell(_parts(target), n): v for target, v in zip(moves, moves) if v}
+    plus, minus, _ = _faces(_key(cell.parts), n, literal_parity)
+    return {StratumCell(_parts(t), n): v for ts, v in ((plus, 1), (minus, -1)) for t in ts}
 
 
 def boundary_of_chain(chain, literal_parity=False):
@@ -187,34 +187,34 @@ class _Cells(Sequence):
         return len(self._keys)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [StratumCell(_parts(key), self._n) for key in self._keys[i]]
         return StratumCell(_parts(self._keys[i]), self._n)
 
 
 def pol_chain_complex(partition, n):
     """Chain complex on the closure cells, graded by cell dimension.
 
-    The closure's levels, lowest first, number the cells of the complex's
-    cell table, each level in composition order: a cell's facets and
-    coefficients are read off its moves, zeros dropped, each facet looked up
-    among the level below, and a level's moves are dropped once read.  A
-    ``StratumCell`` label is built only when read.  d(d(x)) = 0 is checked
-    from the top cells down.
+    The closure's levels, lowest first, number the cells of the complex,
+    each level in composition order: a cell's +1 and -1 move targets are
+    looked up among the level below, its zero moves skipped, and a level's
+    moves are dropped once read.  ``ChainComplex._numbered`` builds the cell
+    table from those two lists and checks d(d(x)) = 0 on them, from the top
+    cells down.  A ``StratumCell`` label is built only when read.
     """
     levels = _closure(partition, n)
-    generators, facets, coefficients, starts, below = {}, [], [], [], {}
+    generators, plus, minus, starts, below = {}, [], [], [], {}
     while levels:
         keys, moves = levels.pop()
         generators[_dimension(keys[0], n)] = _Cells(keys, n)
-        starts.append(len(facets))
-        for m in moves:
-            targets, values = m[::2], m[1::2]
-            if 0 in values:
-                targets, values = compress(targets, values), tuple(filter(None, values))
-            facets.append(list(map(below.__getitem__, targets)))
-            coefficients.append(values)
-        below = dict(zip(keys, range(starts[-1], len(facets))))
-    table = facets, coefficients, starts
-    return ChainComplex._numbered(generators, table, range(len(facets) - 1, -1, -1))
+        starts.append(len(plus))
+        get = below.__getitem__
+        for p, m, _ in moves:
+            plus.append(list(map(get, p)))
+            minus.append(list(map(get, m)))
+        below = dict(zip(keys, range(starts[-1], len(plus))))
+    order = range(len(plus) - 1, -1, -1)
+    return ChainComplex._numbered(generators, (plus, minus), starts, order)
 
 
 def pol_homology(partition, n):
@@ -229,7 +229,7 @@ def closure_poset(partition, n):
     keys = [key for level, _ in levels for key in level]
     index = dict(zip(keys, range(len(keys))))
     pairs = ((key, m) for level, moves in levels for key, m in zip(level, moves))
-    covers = {(index[t], index[key]) for key, m in pairs for t in m[::2]}
+    covers = {(index[t], index[key]) for key, m in pairs for ts in m for t in ts}
     return Poset([StratumCell(_parts(key), n) for key in keys], covers)
 
 

@@ -730,7 +730,8 @@ BREAK_CHECK = [
     ),
     (  # a move that keeps the dimension, caught by the closure walk
         "polystrata.strata",
-        "_faces = (lambda f: lambda key, n: (*f(key, n), key, 0))(_faces)",
+        "_faces = (lambda f: lambda key, n: (lambda p, m, z: (p, m, z + [key]))(*f(key, n)))"
+        "(_faces)",
         ["pol", "--lambda", "1,2", "--n", "5"],
     ),
 ]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystrata import strata
+from polystrata import homology, strata
 from polystrata.compositions import compositions_of_type, positions
 from polystrata.homology import (
     BoundarySquareError,
@@ -98,6 +98,39 @@ def oracle_boundary(parts, n, literal_parity=False):
             if not vanishes:
                 out[b] = out.get(b, 0) + (-1) ** (j1 - 1)
     return {c: v for c, v in out.items() if v}
+
+
+def oracle_faces(key, n, literal_parity=False):
+    """Every move out of a cell as one interleaved tuple (target key,
+    coefficient, target key, ...), by the same bit walk as ``strata._faces``
+    but unsplit."""
+    insert = key.bit_length() < n
+    out = []
+    rest = key
+    below = k = twos = 0
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        twos = twos + 1 if below << 2 == bit else 0
+        if k and rest:
+            out += key ^ bit, -1 if k & 1 else 1
+        if insert and key & 7 * bit != 5 * bit:
+            span = twos if literal_parity else twos + 1
+            sign = -1 if (k - twos) & 1 else 1
+            out += (key & (2 * bit - 1)) | (key & -bit) << 2, sign if span & 1 else 0
+        below = bit
+        k += 1
+    return tuple(out)
+
+
+def closures_up_to(weight, n_max):
+    """(partition, n) for every closure of weight <= ``weight`` and n <= n_max."""
+    return [
+        (partition, n)
+        for w in range(weight + 1)
+        for partition in partitions_of(w)
+        for n in range(w, n_max + 1, 2)
+    ]
 
 
 def oracle_chain_complex(n, boundaries):
@@ -322,10 +355,28 @@ class TestAgainstOracle:
         for c in reduced + [complex_]:
             assert "boundaries" not in vars(c)
 
+    def test_split_moves_match_interleaved_oracle(self):
+        # each closure cell's +1, -1 and 0 targets, in the oracle's order
+        keys = {}
+        for partition, n in closures_up_to(8, 12):
+            keys.setdefault(n, set()).update(
+                key for level, _ in strata._closure(partition, n) for key in level
+            )
+        for n, cells in keys.items():
+            for key in cells:
+                for literal in (False, True):
+                    moves = iter(oracle_faces(key, n, literal))
+                    expected = [], [], []
+                    for target, v in zip(moves, moves):
+                        expected[(1, -1, 0).index(v)].append(target)
+                    assert strata._faces(key, n, literal) == expected, (key, n)
+
     def test_move_out_of_the_closure_raises(self, monkeypatch):
         # a move that keeps the dimension has no row in degree d - 1
         faces = strata._faces
-        monkeypatch.setattr(strata, "_faces", lambda key, n: (*faces(key, n), key, 0))
+        monkeypatch.setattr(
+            strata, "_faces", lambda key, n: (lambda p, m, z: (p, m, z + [key]))(*faces(key, n))
+        )
         with pytest.raises(InvariantError) as info:
             pol_chain_complex((1, 2), 5)
         # the first cell of the next level in composition order, named by its
@@ -370,6 +421,59 @@ class TestAgainstOracle:
             "d(d(StratumCell(parts=(1, 1), ambient=4)))"
             " = {StratumCell(parts=(2, 2), ambient=4): -1} is nonzero"
         )
+
+
+class TestSignedMoves:
+    """The d(d(x)) = 0 check and the reduction read one complex."""
+
+    def test_check_reads_the_table_split(self, monkeypatch):
+        given = []
+        check = homology._check_squares_to_zero
+        monkeypatch.setattr(
+            homology,
+            "_check_squares_to_zero",
+            lambda f, c, split, *a: given.append(split) or check(f, c, split, *a),
+        )
+        for partition, n in closures_up_to(8, 12):
+            complex_ = pol_chain_complex(partition, n)
+            (split,) = given
+            facets, coefficients, _ = complex_._table
+            assert homology._split(facets, coefficients) == split, (partition, n)
+            given.clear()
+
+    def test_split_runs_only_on_the_morse_complex(self, monkeypatch):
+        calls, seen = [], []
+        split, coreduce = homology._split, homology._coreduce
+        monkeypatch.setattr(
+            homology, "_split", lambda f, c: calls.append(len(f)) or split(f, c)
+        )
+        monkeypatch.setattr(
+            homology, "_coreduce", lambda *a: seen.append(coreduce(*a)) or seen[-1]
+        )
+        complex_ = pol_chain_complex((1,) * 8, 12)
+        assert calls == []
+        chain_homology(complex_)
+        (critical,) = seen
+        assert calls == [len(critical)]
+        assert len(critical) < len(complex_._table[0])
+
+    @pytest.mark.parametrize("partition,n", [((1,) * 8, 12), ((1, 2, 2), 9), ((), 6)])
+    def test_one_coefficient_tuple_per_shape(self, partition, n):
+        facets, coefficients, _ = pol_chain_complex(partition, n)._table
+        shapes = {}
+        for fs, cs in zip(facets, coefficients):
+            p, m = cs.count(1), cs.count(-1)
+            assert cs == (1,) * p + (-1,) * m and len(fs) == p + m
+            shapes.setdefault((p, m), set()).add(id(cs))
+        assert all(len(ids) == 1 for ids in shapes.values())
+
+    def test_generators_slice_to_labels(self):
+        complex_ = pol_chain_complex((1, 2), 5)
+        for cells in complex_.generators.values():
+            labels = [cells[i] for i in range(len(cells))]
+            assert cells[0:2] == labels[0:2]
+            assert cells[::-1] == labels[::-1]
+            assert all(isinstance(c, StratumCell) for c in cells[:])
 
 
 class TestHomology:
