@@ -90,7 +90,7 @@ def _faces(key, n, literal_parity=False):
     then ends a run of L + 1 twos, L being the 2-parts that end at the bit.
     """
     insert = key.bit_length() < n  # weight + 2 <= n
-    out = [], [], []
+    out = [], [], []  # coefficient +1, -1 (odd k, or odd k - twos), 0 (even span)
     rest = key
     below = k = twos = 0  # k boundaries lie below ``bit``
     while rest:
