@@ -6,14 +6,15 @@ one coreduction, which pairs a cell with its only remaining facet when that
 coefficient is +-1; the critical cells it leaves form a Morse complex, chain
 equivalent to the input and usually a few dozen cells where the input has
 thousands or hundreds of thousands.  It checks d(d(x)) = 0 on the critical
-cells, reduces each degree's boundary between them with a dense Smith core,
-and checks the cells' Euler characteristic against the Betti numbers.  A
-graded chain complex feeds it its cell table; a simplicial complex feeds it its
-augmented chains from a face table, which stores each face as its last vertex
-and the indices of its facets: no face tuple is hashed, and a face is decoded
-only when read.  Given faces are fed to ``_face_table`` level by level as
-(parent face, new last vertex) pairs, their facets found under integer keys;
-``posets._chain_table`` builds an order complex's table from the up-sets.
+cells by exact sums, reduces each degree's boundary between them with a
+dense Smith core, and checks the cells' Euler characteristic against the
+Betti numbers.  A graded chain complex feeds it its cell table; a simplicial
+complex feeds it its augmented chains from a face table, which stores each
+face as its last vertex and the indices of its facets: no face tuple is
+hashed, and a face is decoded only when read.  Given faces are fed to
+``_face_table`` level by level as (parent face, new last vertex) pairs, their
+facets found under integer keys; ``posets._chain_table`` builds an order
+complex's table from the up-sets.
 
 All homology here uses the reduced convention.  The empty complex has a single
 reduced homology group Z in degree -1; a point has none.
@@ -214,7 +215,7 @@ class ChainComplex:
     coefficient}, are validated and numbered into it, and ``boundaries`` is
     decoded from it only when first read.  The generator sequences are kept
     as given, not copied, and a label is read only to name an offender.
-    d(d(x)) = 0 is checked on construction, on the columns in given order.
+    d(d(x)) = 0 is summed exactly on construction, column by column as given.
     """
 
     def __init__(self, generators, boundaries):
@@ -241,8 +242,7 @@ class ChainComplex:
                 facets[first[q] + c] = [r + first[q - 1] for r in rows]
                 given.append(first[q] + c)
         self.generators, self._table = gens, (facets, coefficients, starts[:-1])
-        split = _split(facets, coefficients)
-        _check_squares_to_zero(facets, coefficients, split, self._label, given)
+        _check_squares_to_zero(facets, coefficients, None, self._label, given)
 
     @classmethod
     def _numbered(cls, generators, split, starts, order):
@@ -284,45 +284,25 @@ class ChainComplex:
 _signs = lru_cache(maxsize=None)(lambda p, m: (1,) * p + (-1,) * m)
 
 
-def _split(facets, coefficients):
-    """Each cell's facets with coefficient +1, and those with -1; a cell c with
-    any other coefficient gets ``[~c]`` and ``[]``, a row no path reaches."""
-    plus, minus = [], []
-    for c, (fs, cs) in enumerate(zip(facets, coefficients)):
-        p, m = [], []
-        for r, v in zip(fs, cs):
-            if v == 1:
-                p.append(r)
-            elif v == -1:
-                m.append(r)
-            else:
-                p, m = [~c], []
-                break
-        plus.append(p)
-        minus.append(m)
-    return plus, minus
-
-
 def _check_squares_to_zero(facets, coefficients, split, name, order):
     """Raise BoundarySquareError unless d(d(x)) = 0 on the cells of a table.
 
     ``facets[c]`` lists the indices of cell c's facets, ``coefficients[c]``
-    their coefficients in the same order, ``split`` splits them by sign as
-    ``_split`` does, and ``name(c)`` names cell c, read only to name an
-    offender.  The cells are checked in ``order``; the first offender raises.
+    their coefficients in the same order, and ``name(c)`` names cell c, read
+    only to name an offender.  The cells are checked in ``order``; the first
+    offender raises, its nonzero entries in the order their rows were reached.
 
-    A column with coefficients +-1 passes when the rows it reaches
-    positively and negatively, gathered by extending lists over its own +1
-    facets and then its -1 facets, are equal once sorted.  Any other column,
-    marked ``[~c]`` by ``_split``, and any offender, is summed exactly, and
-    its nonzero entries are reported in the order their rows were reached.
+    A column is summed exactly unless ``split``, given only by
+    ``ChainComplex._numbered``, holds each cell's +1 facets and its -1 facets:
+    it then passes when the rows it reaches positively and negatively,
+    gathered by list extends, are equal once sorted.  An offender is always
+    summed exactly.
     """
-    plus, minus = split
+    plus, minus = split or ((), ())
     for c in order:
-        p = plus[c]
-        if not p or p[0] >= 0:  # not marked [~c]
+        if split:
             up, down = [], []
-            for r in p:
+            for r in plus[c]:
                 up += plus[r]
                 down += minus[r]
             for r in minus[c]:
@@ -431,8 +411,8 @@ def _reduce(facets, coefficients, starts, degrees, label, euler_cells):
     of degree ``degrees[k]`` start at ``starts[k]``, and ``label(c)`` names
     cell c, read only to name an offender.  The critical cells, numbered in
     index order, make a cell table of their Morse boundaries; d(d(x)) = 0 is
-    checked on it, and each degree's boundary goes through the dense Smith
-    reduction, whose factors are checked to be a divisibility chain.
+    summed exactly on it, and each degree's boundary goes through the dense
+    Smith reduction, whose factors are checked to be a divisibility chain.
 
     Betti_q = critical cells in degree q - rank d_q - rank d_{q+1};
     torsion_q = invariant factors of d_{q+1} exceeding 1.  ``euler_cells``,
@@ -444,8 +424,7 @@ def _reduce(facets, coefficients, starts, degrees, label, euler_cells):
     position = dict(zip(cells, range(len(cells))))
     rows = [[position[x] for x in col] for col in boundary.values()]
     values = [tuple(col.values()) for col in boundary.values()]
-    split = _split(rows, values)
-    _check_squares_to_zero(rows, values, split, lambda i: label(cells[i]), range(len(rows)))
+    _check_squares_to_zero(rows, values, None, lambda i: label(cells[i]), range(len(rows)))
     first = [bisect_left(cells, s) for s in starts] + [len(cells)]
     factors = {}
     for k, q in enumerate(degrees):  # a column's rows are the degree before's

@@ -1,9 +1,11 @@
 import random
+import re
 import tracemalloc
+from ast import literal_eval
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -185,16 +187,50 @@ def oracle_check_squares_to_zero(generators, boundaries):
                 )
 
 
+def numbered_check(generators, boundaries):
+    """``ChainComplex._numbered`` on given +-1 columns, split by sign here and
+    checked in the order ``ChainComplex`` checks them."""
+    gens = {q: generators[q] for q in sorted(generators)}
+    starts = list(accumulate(map(len, gens.values()), initial=0))
+    first = dict(zip(gens, starts))
+    plus, minus = [[] for _ in range(starts[-1])], [[] for _ in range(starts[-1])]
+    order = []
+    for q, cols in boundaries.items():
+        for c, col in cols.items():
+            order.append(first[q] + c)
+            for r, v in col.items():
+                (plus if v == 1 else minus)[first[q] + c].append(first[q - 1] + r)
+    ChainComplex._numbered(gens, (plus, minus), starts[:-1], order)
+
+
+def unit_columns(boundaries):
+    """Whether every given coefficient is +-1."""
+    cols = [col for cols in boundaries.values() for col in cols.values()]
+    return all(v in (1, -1) for col in cols for v in col.values())
+
+
 def square_verdicts(generators, boundaries):
-    """The messages of the oracle check and of ``ChainComplex``, None for a pass."""
+    """The messages of the oracle check and of ``ChainComplex``, None for a
+    pass, and of ``numbered_check`` when every coefficient is +-1."""
     messages = []
-    for check in (oracle_check_squares_to_zero, ChainComplex):
+    checks = [oracle_check_squares_to_zero, ChainComplex]
+    for check in checks + [numbered_check] * unit_columns(boundaries):
         try:
             check(generators, boundaries)
             messages.append(None)
         except BoundarySquareError as error:
             messages.append(str(error))
     return messages
+
+
+def verdict(message):
+    """A check's message as its offender and its {row: value}, whose order
+    follows the check's own facet order."""
+    if message is None:
+        return None
+    match = re.fullmatch(r"d\(d\((.*)\)\) = (\{.*\}) is nonzero", message)
+    offender, rows = match.groups()
+    return literal_eval(offender), literal_eval(rows)
 
 
 def signed_scaled_chains(complex_, rng):
@@ -486,6 +522,28 @@ class TestChainHomology:
                 col[r] = rng.choice([v for v in range(-3, 4) if v != col.get(r, 0)])
             messages = square_verdicts(generators, boundaries)
             assert messages[0] == messages[1]
+            assert all(verdict(m) == verdict(messages[0]) for m in messages[2:])
+            verdicts[messages[0] is None] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+    def test_numbered_check_matches_dict_oracle(self):
+        # signed chains with every scale dropped, so every coefficient is +-1
+        # and all three checks run; half get one entry changed to +-1
+        rng = random.Random(11)
+        verdicts = Counter()
+        for simplicial in random_complexes(13, count=200):
+            generators, boundaries = signed_scaled_chains(simplicial, rng)
+            for cols in boundaries.values():
+                for c, col in cols.items():
+                    cols[c] = {r: 1 if v > 0 else -1 for r, v in col.items()}
+            if rng.random() < 0.5:
+                q = rng.choice(sorted(boundaries))
+                col = boundaries[q][rng.randrange(len(generators[q]))]
+                r = rng.randrange(len(generators[q - 1]))
+                col[r] = rng.choice([v for v in (-1, 1) if v != col.get(r, 0)])
+            messages = square_verdicts(generators, boundaries)
+            assert len(messages) == 3 and messages[0] == messages[1]
+            assert verdict(messages[2]) == verdict(messages[0])
             verdicts[messages[0] is None] += 1
         assert verdicts[True] >= 50 and verdicts[False] >= 50
 
@@ -508,7 +566,8 @@ class TestChainHomology:
     )
     def test_square_check_edge_columns(self, boundaries, message):
         generators = {0: ("a",), 1: ("b", "c"), 2: ("e",)}
-        assert square_verdicts(generators, boundaries) == [message, message]
+        messages = [message] * (2 + unit_columns(boundaries))
+        assert square_verdicts(generators, boundaries) == messages
 
     def test_huge_coefficients_decided_exactly(self):
         # d(b) = N a, d(c) = M a, d(e) = b - c: d(d(e)) = (N - M) a, summed

@@ -8,6 +8,7 @@ from polystrata import homology, strata
 from polystrata.compositions import compositions_of_type, positions
 from polystrata.homology import (
     BoundarySquareError,
+    ChainComplex,
     HomologyResult,
     InvariantError,
     chain_homology,
@@ -131,6 +132,20 @@ def closures_up_to(weight, n_max):
         for partition in partitions_of(w)
         for n in range(w, n_max + 1, 2)
     ]
+
+
+def oracle_split(facets, coefficients):
+    """Oracle: each cell's facets with coefficient +1, and those with -1,
+    read off a finished table all of whose coefficients are +-1."""
+    plus, minus = [], []
+    for fs, cs in zip(facets, coefficients):
+        p, m = [], []
+        for r, v in zip(fs, cs):
+            assert v in (1, -1), v
+            (p if v == 1 else m).append(r)
+        plus.append(p)
+        minus.append(m)
+    return plus, minus
 
 
 def oracle_chain_complex(n, boundaries):
@@ -438,24 +453,27 @@ class TestSignedMoves:
             complex_ = pol_chain_complex(partition, n)
             (split,) = given
             facets, coefficients, _ = complex_._table
-            assert homology._split(facets, coefficients) == split, (partition, n)
+            assert oracle_split(facets, coefficients) == split, (partition, n)
             given.clear()
 
-    def test_split_runs_only_on_the_morse_complex(self, monkeypatch):
-        calls, seen = [], []
-        split, coreduce = homology._split, homology._coreduce
+    def test_only_the_strata_walk_hands_over_a_split(self, monkeypatch):
+        # the Morse complex and given columns are summed exactly
+        given = []
+        check = homology._check_squares_to_zero
         monkeypatch.setattr(
-            homology, "_split", lambda f, c: calls.append(len(f)) or split(f, c)
-        )
-        monkeypatch.setattr(
-            homology, "_coreduce", lambda *a: seen.append(coreduce(*a)) or seen[-1]
+            homology,
+            "_check_squares_to_zero",
+            lambda f, c, split, *a: given.append((f, split)) or check(f, c, split, *a),
         )
         complex_ = pol_chain_complex((1,) * 8, 12)
-        assert calls == []
         chain_homology(complex_)
-        (critical,) = seen
-        assert calls == [len(critical)]
-        assert len(critical) < len(complex_._table[0])
+        (table, split), (critical, morse) = given
+        facets, coefficients, _ = complex_._table
+        assert table is facets and split == oracle_split(facets, coefficients)
+        assert morse is None and 0 < len(critical) < len(facets)
+        given.clear()
+        complex_ = ChainComplex({0: ("a", "b"), 1: ("e",)}, {1: {0: {0: -1, 1: 1}}})
+        assert given == [(complex_._table[0], None)]
 
     @pytest.mark.parametrize("partition,n", [((1,) * 8, 12), ((1, 2, 2), 9), ((), 6)])
     def test_one_coefficient_tuple_per_shape(self, partition, n):
