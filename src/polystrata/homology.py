@@ -10,11 +10,10 @@ cells by exact sums, reduces each degree's boundary between them with a
 dense Smith core, and checks the cells' Euler characteristic against the
 Betti numbers.  A graded chain complex feeds it its cell table; a simplicial
 complex feeds it its augmented chains from a face table, which stores each
-face as its last vertex and the indices of its facets: no face tuple is
-hashed, and a face is decoded only when read.  Given faces are fed to
-``_face_table`` level by level as (parent face, new last vertex) pairs, their
-facets found under integer keys; ``posets._chain_table`` builds an order
-complex's table from the up-sets.
+face as its last vertex and the indices of its facets, and a face is decoded
+only when read.  Both table builders are here: ``_face_table`` takes given
+faces level by level as vertex tuples, and ``_chain_table`` grows an order
+complex's chains from a poset's up-sets.
 
 All homology here uses the reduced convention.  The empty complex has a single
 reduced homology group Z in degree -1; a point has none.
@@ -26,8 +25,8 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, combinations, compress, repeat
 from operator import add, index, lt
 
 
@@ -258,17 +257,17 @@ class ChainComplex:
         _check_squares_to_zero(facets, coefficients, split, self._label, order)
         return self
 
-    def __getattr__(self, name):
-        if name != "boundaries":  # decoded from the table when first read
-            raise AttributeError(name)
+    @cached_property
+    def boundaries(self):
+        """The columns by degree, decoded from the table when first read."""
         facets, coefficients, starts = self._table
-        self.boundaries = {}
+        boundaries = {}
         for k, (q, start) in enumerate(zip(self.generators, starts)):
             for c in range(start, start + len(self.generators[q])):
                 if facets[c]:  # its rows lie in the degree before, from starts[k - 1]
                     col = dict(zip([r - starts[k - 1] for r in facets[c]], coefficients[c]))
-                    self.boundaries.setdefault(q, {})[c - start] = col
-        return self.boundaries
+                    boundaries.setdefault(q, {})[c - start] = col
+        return boundaries
 
     def _label(self, c):
         """The generator label of cell c of the table."""
@@ -461,39 +460,87 @@ def chain_homology(complex_):
 # Simplicial complexes
 
 
+_NOT_CLOSED = "not downward closed: %r present, %r missing"
+
+
 def _face_table(n, levels):
     """The face table of given faces on n vertices, fed level by level.
 
-    Each level is a sequence of pairs (parent cell, new last vertex j); cell
-    0 is ``()`` and new cells are numbered in the order fed.  The table holds
-    each cell's last vertex, its facets (``facets[c][k]`` is cell c without
-    its vertex k, sign (-1)^k) and the first cell of each size, then the cell
-    count; no face tuple is built.  The last facet is the parent, and facet
-    k < len(parent) the child by j of the parent's facet k, looked up under
-    the integer key ``facet * n + j`` among the level before.  A failed
-    lookup is a missing face and raises ValueError.  Only given faces come
-    here: ``posets._chain_table`` lays out an order complex's table itself.
+    Each level is a sequence of vertex tuples, each face's parent (itself
+    without its last vertex j) in the level before; cell 0 is ``()`` and new
+    cells are numbered in the order fed.  The table holds each cell's last
+    vertex, its facets (``facets[c][k]`` is cell c without its vertex k, sign
+    (-1)^k) and the first cell of each size, then the cell count.  A level's
+    parents, its last facets, are all looked up by tuple first; then facet k
+    < len(parent) is the child by j of the parent's facet k, under the
+    integer key ``facet * n + j`` among the level before.  A failed lookup is
+    a missing face and raises ValueError naming its highest missing vertex.
     """
     last, facets, starts = [-1], [()], [0, 1]
-    known = {}  # a level's cells by parent * n + last vertex
+    cells, known = {(): 0}, {}  # cells of the level before, by tuple and by key
     for level in levels:
-        below, known = known, {}
+        try:
+            parents = list(map(cells.__getitem__, [face[:-1] for face in level]))
+        except KeyError:
+            face = next(face for face in level if face[:-1] not in cells)
+            raise ValueError(_NOT_CLOSED % (face, face[:-1])) from None
+        below, cells, known = known, {}, {}
         get = below.__getitem__
-        for p, j in level:
+        for face, p in zip(level, parents):
+            j = face[-1]
             try:
                 row = [get(f * n + j) for f in facets[p]]
             except KeyError:
-                face = _face((last, facets, starts), p) + (j,)
                 k = max(k for k, f in enumerate(facets[p]) if f * n + j not in below)
-                raise ValueError(
-                    "not downward closed: %r present, %r missing"
-                    % (face, face[:k] + face[k + 1 :])
-                ) from None
+                raise ValueError(_NOT_CLOSED % (face, face[:k] + face[k + 1 :])) from None
             row.append(p)
-            known[p * n + j] = len(last)
+            cells[face] = known[p * n + j] = len(last)
             last.append(j)
             facets.append(tuple(row))
         starts.append(len(last))
+    return last, facets, starts
+
+
+def _chain_table(up):
+    """The face table of the chains of a poset with strict up-sets ``up``.
+
+    Cell 0 is ``()``; the children of chain p, p + (j,) for j in
+    ``up[last(p)]``, are numbered consecutively, level by level in the order
+    of their parents, as ``_face_table`` lays them out.  Dropping
+    a vertex of p other than its last from child i gives child i of that
+    facet of p; dropping p's last gives p's sibling by j, at j's rank in the
+    up-set of p's parent; the last facet is p.  So one zip makes a sibling
+    group and only the sibling is looked up.  A missing rank is a missing
+    face and raises ValueError; by induction, every face is checked.  Facet
+    entries are items of one list of cell numbers, one object per number.
+    """
+    n = len(up)  # the last rank is cell 0's, read as rank[last[0]]
+    rank = [dict(zip(u, range(len(u)))) for u in [*up, range(n)]]
+    cells = list(range(n + 1))
+    last, facets, starts = [-1, *range(n)], [()] + [(0,)] * n, [0, 1]
+    children = {0: cells[1:]}  # of each cell of the level before that has any
+    lo, hi = 1, n + 1
+    while lo < hi:
+        starts.append(hi)
+        get, groups, c = children.__getitem__, [], hi
+        for p in range(lo, hi):
+            u = up[last[p]]
+            if u:
+                *fs, pp = facets[p]
+                r = rank[last[pp]]
+                siblings = map(children[pp].__getitem__, map(r.__getitem__, u))
+                try:
+                    facets.extend(zip(*map(get, fs), siblings, repeat(cells[p])))
+                except KeyError:
+                    j = next(j for j in u if j not in r)
+                    face = _face((last, facets, starts), p) + (j,)
+                    raise ValueError(_NOT_CLOSED % (face, face[:-2] + (j,))) from None
+                last.extend(u)
+                groups.append((p, c, c + len(u)))
+                c += len(u)
+        cells.extend(range(hi, c))
+        children = {p: cells[a:b] for p, a, b in groups}
+        lo, hi = hi, c
     return last, facets, starts
 
 
@@ -517,16 +564,13 @@ def _faces(table):
 def _checked_levels(n, faces):
     """Faces given as tuples, checked and fed to ``_face_table`` level by level.
 
-    Each level is checked, sorted and paired with its parents (the faces
-    without their last vertex, which must be present) only once the level
-    before has been built.  Sorted levels give the order of chain
-    enumeration.
+    Each level is checked (sorted duplicate-free tuples of vertices below n)
+    and sorted only once the level before has been built, and then yielded.
+    Sorted levels give the order of chain enumeration.
     """
     by_size = {}
     for face in faces:
         by_size.setdefault(len(face), []).append(face)
-    parent = {(): 0}
-    start = 1
     for size in sorted(by_size):
         level = by_size[size]
         for face in level:
@@ -535,17 +579,7 @@ def _checked_levels(n, faces):
             if face[0] < 0 or face[-1] >= n:
                 raise ValueError("face %r has out-of-range vertices" % (face,))
         level.sort()
-        pairs = []
-        for face in level:
-            p = parent.get(face[:-1])
-            if p is None:
-                raise ValueError(
-                    "not downward closed: %r present, %r missing" % (face, face[:-1])
-                )
-            pairs.append((p, face[-1]))
-        yield pairs
-        parent = dict(zip(level, range(start, start + len(level))))
-        start += len(level)
+        yield level
 
 
 @dataclass(frozen=True)
@@ -559,9 +593,10 @@ class SimplicialComplex:
     and then the faces level by level, each level in chain-enumeration order
     (by parent cell, then last vertex, so lexicographic for given faces),
     each cell's facets and the level starts.  Faces given from outside are
-    checked one by one as ``_face_table`` builds it; ``order_complex`` hands
-    its finished table, built by ``posets._chain_table``, to ``_grown``, and
-    such a complex decodes ``faces`` only when they are first read.
+    checked level by level as ``_face_table`` builds it; ``order_complex``
+    builds its complex with ``_of_chains``, whose table ``_chain_table``
+    grows from the up-sets, and such a complex decodes ``faces`` only when
+    they are first read.
     """
 
     vertices: tuple
@@ -574,21 +609,22 @@ class SimplicialComplex:
         object.__setattr__(self, "_table", table)
 
     def __getattr__(self, name):
-        if name != "faces":  # a grown complex decodes its faces when first read
+        if name != "faces":  # a complex of chains decodes its faces when first read
             raise AttributeError(name)
         object.__setattr__(self, "faces", frozenset(_faces(self._table)[1:]))
         return self.faces
 
     @classmethod
-    def _grown(cls, vertices, table):
-        """The complex of a finished face table, as ``_face_table`` lays it out.
+    def _of_chains(cls, vertices, up):
+        """The complex of the chains of a poset on ``vertices``, vertex i with
+        strict up-set ``up[i]``, its table grown by ``_chain_table``.
 
-        Its faces must be sorted tuples of vertex indices and closed under
-        taking faces, which only the caller can vouch for.
+        Its chains are its faces only when each is a sorted tuple, which only
+        the caller can vouch for.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", _chain_table(up))
         return self
 
     @staticmethod

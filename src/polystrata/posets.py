@@ -8,8 +8,8 @@ reduction, ``Poset._from_below``, a walk over each down-set's covers in a
 linear extension.  Cover indices pass through
 ``operator.index``, so a float is a TypeError, not truncated.  A quotient
 takes a key function, not a group: its elements are the key's fibres.  All
-values are immutable.  An order complex is built as a finished face table,
-straight from the up-sets (``_chain_table``).
+values are immutable.  ``order_complex`` hands ``homology`` the up-sets,
+from which it grows the face table.
 
 An isomorphism is certified only as a given map: ``check_isomorphism`` tests
 that it is a bijection carrying covers exactly onto covers.  Nothing here
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import operator
-from itertools import product, repeat
+from itertools import product
 
 from .homology import SimplicialComplex
 
@@ -82,7 +82,7 @@ def _refuse(elements, below):
 
 
 class Poset:
-    __slots__ = ("elements", "covers", "_index", "_up", "_above", "_heights")
+    __slots__ = ("elements", "covers", "_index", "_up", "_above")
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
@@ -115,7 +115,6 @@ class Poset:
                 )
             above[a] = covered | implied
         self._above = above
-        self._heights = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -192,13 +191,11 @@ class Poset:
 
     def heights(self):
         """Length of the longest chain below each element (by index)."""
-        if self._heights is None:
-            h = [0] * len(self.elements)
-            for i in self._topological_order():
-                for j in self._up[i]:
-                    h[j] = max(h[j], h[i] + 1)
-            self._heights = h
-        return self._heights
+        h = [0] * len(self.elements)
+        for i in self._topological_order():
+            for j in self._up[i]:
+                h[j] = max(h[j], h[i] + 1)
+        return h
 
     def dual(self):
         return Poset(self.elements, {(b, a) for a, b in self.covers})
@@ -237,64 +234,19 @@ class Poset:
 def order_complex(poset):
     """Complex of all nonempty chains; vertex i is element i of the poset.
 
-    Its face table is built straight from the up-sets by ``_chain_table``
-    and handed to ``SimplicialComplex._grown``, so no chain tuple is built or
-    hashed until the faces are read.  That needs every chain to be a sorted
-    tuple, which holds when index order is a linear extension, as for C_λ,
-    coarsening and face posets.  Otherwise (a dual C_λ, say) the grown chains
-    are decoded, sorted and checked as given faces.
+    Its face table is grown from the up-sets by
+    ``SimplicialComplex._of_chains``, so no chain tuple is built or hashed
+    until the faces are read.  That needs every chain to be a sorted tuple,
+    which holds when index order is a linear extension, as for C_λ,
+    coarsening and face posets.  Otherwise (a dual C_λ, say) the chains are
+    decoded, sorted and checked as given faces.
     """
     up = [tuple(_bits(mask)) for mask in poset._above]
-    complex_ = SimplicialComplex._grown(poset.elements, _chain_table(up))
+    complex_ = SimplicialComplex._of_chains(poset.elements, up)
     if any(mask & ((1 << i) - 1) for i, mask in enumerate(poset._above)):
         faces = frozenset(map(tuple, map(sorted, complex_.faces)))
         return SimplicialComplex(poset.elements, faces)
     return complex_
-
-
-def _chain_table(up):
-    """The face table of the chains of a poset with strict up-sets ``up``.
-
-    Cell 0 is ``()``; the children of chain p, p + (j,) for j in
-    ``up[last(p)]``, are numbered consecutively, level by level in the order
-    of their parents, as ``homology._face_table`` lays them out.  Dropping
-    a vertex of p other than its last from child i gives child i of that
-    facet of p; dropping p's last gives p's sibling by j, at j's rank in the
-    up-set of p's parent; the last facet is p.  So one zip makes a sibling
-    group and only the sibling is looked up.  A missing rank is a missing
-    face and raises ValueError; by induction, every face is checked.  Facet
-    entries are items of one list of cell numbers, one object per number.
-    """
-    n = len(up)  # the last rank is cell 0's, read as rank[last[0]]
-    rank = [dict(zip(u, range(len(u)))) for u in [*up, range(n)]]
-    cells = list(range(n + 1))
-    last, facets, starts = [-1, *range(n)], [()] + [(0,)] * n, [0, 1]
-    children = {0: cells[1:]}  # of each cell of the level before that has any
-    lo, hi = 1, n + 1
-    while lo < hi:
-        starts.append(hi)
-        get, groups, c = children.__getitem__, [], hi
-        for p in range(lo, hi):
-            u = up[last[p]]
-            if u:
-                *fs, pp = facets[p]
-                r = rank[last[pp]]
-                siblings = map(children[pp].__getitem__, map(r.__getitem__, u))
-                try:
-                    facets.extend(zip(*map(get, fs), siblings, repeat(cells[p])))
-                except KeyError:
-                    face, j = (), next(j for j in u if j not in r)
-                    while p:
-                        face, p = (last[p],) + face, facets[p][-1]
-                    message = "not downward closed: %r present, %r missing"
-                    raise ValueError(message % (face + (j,), face[:-1] + (j,))) from None
-                last.extend(u)
-                groups.append((p, c, c + len(u)))
-                c += len(u)
-        cells.extend(range(hi, c))
-        children = {p: cells[a:b] for p, a, b in groups}
-        lo, hi = hi, c
-    return last, facets, starts
 
 
 def inclusion_poset(keys, masks):

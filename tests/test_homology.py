@@ -783,6 +783,28 @@ class TestSimplicialComplex:
         with pytest.raises(ValueError, match=message):
             SimplicialComplex(tuple("abc"), frozenset(faces))
 
+    @pytest.mark.parametrize(
+        "faces, message",
+        [
+            # a later face's missing parent wins over an earlier face's other
+            # missing facet
+            (
+                [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 3), (2, 3)]
+                + [(0, 1, 2), (1, 2, 3)],
+                r"not downward closed: \(1, 2, 3\) present, \(1, 2\) missing",
+            ),
+            # a level is built before the next one is checked
+            (
+                [(0,), (0, 2), (0, 1, 0)],
+                r"not downward closed: \(0, 2\) present, \(2,\) missing",
+            ),
+        ],
+    )
+    def test_error_precedence(self, faces, message):
+        # on four vertices, as the cases above pin vertex 3 out of range
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex(tuple("abcd"), frozenset(faces))
+
     def test_equal_faces_compare_and_hash_equal(self):
         faces = [(0,), (1,), (2,), (0, 1), (1, 2)]
         built = SimplicialComplex(tuple("abc"), frozenset(faces))

@@ -13,6 +13,7 @@ from polystrata.compositions import c_lambda_poset, coarsening_poset
 from polystrata.homology import (
     HomologyResult,
     SimplicialComplex,
+    _chain_table,
     _face_table,
     _faces,
     simplicial_homology,
@@ -25,7 +26,6 @@ from polystrata.posets import (
     Poset,
     PosetError,
     _bits,
-    _chain_table,
     check_isomorphism,
     closure_image,
     face_poset,
@@ -294,16 +294,11 @@ class TestOrderComplexTable:
 
 def chain_levels(up):
     """Oracle: the chains of a poset with strict up-sets ``up``, level by level,
-    each fed to ``_face_table`` as (index of its parent chain, new last element),
-    chains numbered from 1 in the order fed."""
-    level = [(0, j) for j in range(len(up))]
-    start = 1
+    each a tuple in chain order, listed by parent chain, then new last element."""
+    level = [(j,) for j in range(len(up))]
     while level:
         yield level
-        level, start = (
-            [(c, k) for c, (_, j) in enumerate(level, start) for k in up[j]],
-            start + len(level),
-        )
+        level = [c + (k,) for c in level for k in up[c[-1]]]
 
 
 @st.composite
